@@ -15,14 +15,14 @@ from repro.analysis.report import format_table
 from repro.core.native import NativePolicy
 from repro.core.oracle import minimum_wakeups
 from repro.core.simty import SimtyPolicy
-from repro.workloads.faults import inject_storm
+from repro.workloads.faults import with_storm
 from repro.workloads.scenarios import build_light
 
 
 def run_all():
     builders = {
         "clean": build_light,
-        "storm": lambda: inject_storm(build_light(), "WeChat", 100),
+        "storm": lambda: with_storm(build_light(), "WeChat", 100),
     }
     results = {}
     floors = {}

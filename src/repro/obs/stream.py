@@ -39,8 +39,9 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..durable import DurableLog, read_log
 from .render import _table, render_counters, render_similarity_breakdown
 from .summary import (
     EMPTY_SUMMARY,
@@ -75,40 +76,32 @@ def _spool_name(source: str) -> str:
 # Sinks
 # ----------------------------------------------------------------------
 class SpoolSink:
-    """Append stream lines to ``directory/<source>.jsonl``, flushed per
-    line so a tailing :class:`Collector` sees them promptly."""
+    """Append stream records to ``directory/<source>.jsonl``.
+
+    Each file is a :class:`~repro.durable.DurableLog` that flushes every
+    record, so a tailing :class:`Collector` sees it promptly, and never
+    fsyncs: a lost delta costs telemetry, never a result.  A torn tail
+    left by a dead incarnation is sealed before the first new record.
+    """
 
     def __init__(self, directory) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._files: Dict[str, TextIO] = {}
+        self._logs: Dict[str, DurableLog] = {}
         self.dropped = 0
 
-    def emit(self, source: str, line: str) -> None:
+    def emit(self, source: str, record: Dict) -> None:
+        log = self._logs.get(source)
+        if log is None:
+            path = self.directory / f"{_spool_name(source)}.jsonl"
+            log = self._logs[source] = DurableLog(path, sync_every=None)
         try:
-            handle = self._files.get(source)
-            if handle is None:
-                path = self.directory / f"{_spool_name(source)}.jsonl"
-                resumed = path.exists() and path.stat().st_size > 0
-                handle = path.open("a", encoding="utf-8")
-                if resumed:
-                    # Defensive newline: if a previous incarnation of this
-                    # source died mid-write, its torn tail must corrupt its
-                    # own line, not our first one (the begin marker).
-                    handle.write("\n")
-                self._files[source] = handle
-            handle.write(line + "\n")
-            handle.flush()
+            log.append(record)
         except OSError:
             self.dropped += 1
 
     def close(self) -> None:
-        for handle in self._files.values():
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._files.clear()
+        self._logs.clear()
 
 
 class SocketSink:
@@ -149,13 +142,14 @@ class SocketSink:
             self._sock = None
         return self._sock
 
-    def emit(self, source: str, line: str) -> None:
+    def emit(self, source: str, record: Dict) -> None:
         sock = self._connect()
         if sock is None:
             self.dropped += 1
             return
+        line = json.dumps(record, sort_keys=True) + "\n"
         try:
-            sock.sendall(line.encode("utf-8") + b"\n")
+            sock.sendall(line.encode("utf-8"))
         except OSError:
             self.dropped += 1
             try:
@@ -260,7 +254,7 @@ class TelemetryStream:
         }
         if meta:
             record["meta"] = meta
-        self.sink.emit(self.source, json.dumps(record, sort_keys=True))
+        self.sink.emit(self.source, record)
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +310,13 @@ class Collector:
             return False
         try:
             record = json.loads(line)
+        except ValueError:
+            record = None
+        return self.ingest(record)
+
+    def ingest(self, record) -> bool:
+        """Apply one decoded stream record; True if it advanced state."""
+        try:
             kind = record["kind"]
             source = record["source"]
             seq = int(record["seq"])
@@ -355,29 +356,18 @@ class Collector:
         return True
 
     def scan(self) -> int:
-        """Tail every ``*.jsonl`` in the spool dir; lines applied."""
+        """Tail every ``*.jsonl`` in the spool dir; records applied."""
         if self.spool_dir is None or not self.spool_dir.is_dir():
             return 0
         applied = 0
         for path in sorted(self.spool_dir.glob("*.jsonl")):
-            offset = self._offsets.get(path, 0)
-            try:
-                size = path.stat().st_size
-                if size < offset:  # truncated/replaced: start over
-                    offset = 0
-                if size == offset:
-                    continue
-                with path.open("rb") as handle:
-                    handle.seek(offset)
-                    chunk = handle.read()
-            except OSError:
-                continue
-            complete, sep, _tail = chunk.rpartition(b"\n")
-            if not sep:
-                continue  # only a torn partial line so far
-            self._offsets[path] = offset + len(complete) + 1
-            for raw in complete.split(b"\n"):
-                if self.ingest_line(raw.decode("utf-8", "replace")):
+            chunk = read_log(path, self._offsets.get(path, 0))
+            self._offsets[path] = chunk.offset
+            if chunk.skipped:
+                with self._lock:
+                    self.malformed += chunk.skipped
+            for record in chunk.records:
+                if self.ingest(record):
                     applied += 1
         return applied
 
@@ -532,6 +522,9 @@ class _MetricsHandler(BaseHTTPRequestHandler):
     server: "_MetricsServer"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
+            self.send_error(404, "only /metrics is served here")
+            return
         try:
             body = self.server.render().encode("utf-8")
         except Exception as exc:  # render must never kill the server
@@ -555,11 +548,13 @@ class _MetricsServer(ThreadingHTTPServer):
 
 
 class MetricsEndpoint:
-    """Serve any render callable over HTTP (``/metrics``-style).
+    """Serve any render callable at ``GET /metrics`` (and ``/``).
 
-    Generalizes the service daemon's metrics server: the fleet CLI
-    points it at ``lambda: prometheus-rendered collector rolling view``;
-    port 0 picks an ephemeral port (see :attr:`port`).
+    ``simty serve`` points it at the daemon's ``render_metrics``, the
+    fleet CLI at the collector's rolling view rendered as Prometheus
+    text.  Any other path is a 404; a render that raises is a 500 and
+    the server keeps serving.  Port 0 picks an ephemeral port (see
+    :attr:`port`); :meth:`close` is idempotent.
     """
 
     def __init__(
@@ -571,6 +566,7 @@ class MetricsEndpoint:
         self._server = _MetricsServer((host, port), _MetricsHandler)
         self._server.render = render
         self.host, self.port = self._server.server_address[:2]
+        self._closed = False
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="metrics-endpoint",
@@ -583,5 +579,8 @@ class MetricsEndpoint:
         return f"http://{self.host}:{self.port}/metrics"
 
     def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
         self._server.shutdown()
         self._server.server_close()

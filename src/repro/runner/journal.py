@@ -8,24 +8,23 @@ JSON line per *completed* digest — after the result is committed to the
 cache — so on ``--resume`` only journaled digests are trusted to the cache
 and everything else is re-executed, however the previous invocation died.
 
-The journal is deliberately append-only and line-oriented: a crash mid-write
-corrupts at most the final line, which :meth:`RunJournal.load` skips.
+The file mechanics (torn-tail sealing, fsync, tolerant reads) are the
+shared :class:`~repro.durable.DurableLog` contract.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import FrozenSet, Optional, Union
 
+from ..durable import DurableLog
 from .record import RunStatus
 
 #: File name used when a journal is derived from a cache directory.
 JOURNAL_NAME = "journal.jsonl"
 
 
-class RunJournal:
+class RunJournal(DurableLog):
     """Append-only record of terminally-resolved run digests.
 
     ``completed()`` exposes only digests that finished with an ok status;
@@ -34,9 +33,10 @@ class RunJournal:
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
+        # fsync every completion: resume trusts a journaled digest's cache
+        # entry, so the line must be durable before the next run starts.
+        super().__init__(path, sync_every=1)
         self._completed: set = set()
-        self._seen: set = set()
         self.load()
 
     @classmethod
@@ -48,46 +48,29 @@ class RunJournal:
     # Persistence
     # ------------------------------------------------------------------
     def load(self) -> None:
-        """(Re)read the journal from disk, skipping torn trailing lines."""
+        """(Re)read the journal from disk."""
         self._completed.clear()
-        self._seen.clear()
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    digest = entry["digest"]
-                    status = RunStatus(entry.get("status", "ok"))
-                except (ValueError, KeyError, TypeError):
-                    continue  # torn or foreign line; not a completion
-                self._seen.add(digest)
-                if status.is_ok:
-                    self._completed.add(digest)
+        for entry in self.read().records:
+            digest = entry.get("digest")
+            try:
+                status = RunStatus(entry.get("status", "ok"))
+            except ValueError:
+                continue  # foreign line; not a completion
+            if isinstance(digest, str) and status.is_ok:
+                self._completed.add(digest)
 
     def record(self, digest: str, status: RunStatus = RunStatus.OK) -> None:
         """Append one completion; idempotent for already-journaled digests."""
         if digest in self._completed:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"digest": digest, "status": status.value}
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._seen.add(digest)
+        self.append({"digest": digest, "status": status.value})
         if status.is_ok:
             self._completed.add(digest)
 
     def reset(self) -> None:
         """Start a fresh journal (used by non-resume invocations)."""
         self._completed.clear()
-        self._seen.clear()
-        if self.path.exists():
-            self.path.unlink()
+        super().reset()
 
     # ------------------------------------------------------------------
     # Queries

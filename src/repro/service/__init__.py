@@ -51,7 +51,6 @@ from .client import (
 )
 from .daemon import AlarmService, ServiceConfig
 from .journal import MUTATION_KINDS, SERVICE_JOURNAL_NAME, ServiceJournal
-from .metrics import MetricsServer
 from .protocol import (
     ERROR_CODES,
     IDEMPOTENT_OPS,
@@ -84,7 +83,6 @@ __all__ = [
     "ServiceJournal",
     "SERVICE_JOURNAL_NAME",
     "MUTATION_KINDS",
-    "MetricsServer",
     "SocketServer",
     "Ticker",
     "SlowRequestWatchdog",

@@ -183,10 +183,12 @@ class _Injector:
 class FaultyJournal(ServiceJournal):
     """A service journal with injected disk faults.
 
-    ``force_fsync_failures`` is a deterministic override for tests: set
-    it and every subsequent append raises ``OSError`` regardless of the
-    spec's probability (how the degraded-mode suite flips the disk from
-    healthy to broken mid-run).
+    Every fault is injected at the durable log's one write seam
+    (:meth:`~repro.durable.DurableLog._write`), before any byte of the
+    entry reaches the disk.  ``force_fsync_failures`` is a deterministic
+    override for tests: set it and every subsequent append raises
+    ``OSError`` regardless of the spec's probability (how the
+    degraded-mode suite flips the disk from healthy to broken mid-run).
     """
 
     def __init__(
@@ -201,7 +203,7 @@ class FaultyJournal(ServiceJournal):
         self.force_fsync_failures = False
         super().__init__(path)
 
-    def append(self, entry: dict) -> None:
+    def _write(self, text: str, sync: bool, fresh: bool = False) -> None:
         chaos = self._chaos
         if chaos._roll(chaos.spec.journal_latency_p):
             chaos._inject("journal-latency")
@@ -209,23 +211,13 @@ class FaultyJournal(ServiceJournal):
         if self.force_fsync_failures or chaos._roll(chaos.spec.fsync_p):
             chaos._inject("journal-fsync")
             raise OSError("chaos: injected fsync failure")
-        super().append(entry)
         if chaos._roll(chaos.spec.dup_p):
+            # The entry lands on disk twice, byte for byte, while the
+            # in-memory entry list holds it once — a torn-then-retried
+            # write whose first copy did land.  Replay dedupes it by seq.
             chaos._inject("journal-dup")
-            self._duplicate_last_line()
-
-    def _duplicate_last_line(self) -> None:
-        """Write the just-appended entry a second time, byte for byte.
-
-        The duplicate goes straight to disk — the in-memory entry list
-        stays truthful, exactly like a torn-then-retried write where the
-        first copy did land.  Replay dedupes it by ``seq``.
-        """
-        import json as _json
-
-        entry = self._entries[-1]
-        with self.path.open("a", encoding="utf-8") as handle:
-            self._write_line(handle, _json.dumps(entry, sort_keys=True))
+            text += text
+        super()._write(text, sync, fresh)
 
     def tear_tail(self) -> bool:
         """Emulate a crash interrupting an append: a torn half-entry.
@@ -237,16 +229,11 @@ class FaultyJournal(ServiceJournal):
         every cycle and still get a mixed population of clean and torn
         crashes).
         """
-        if not self._chaos._roll(self.spec_torn_p()):
+        if not self._chaos._roll(self._chaos.spec.torn_p):
             return False
         self._chaos._inject("journal-torn")
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"kind": "register", "t": 9999999, "alarm": {"al')
-            handle.flush()
+        tear_tail(self.path)
         return True
-
-    def spec_torn_p(self) -> float:
-        return self._chaos.spec.torn_p
 
 
 def tear_tail(path: Union[str, Path]) -> None:

@@ -16,14 +16,11 @@ workload and the input is left untouched.  The original in-place mutators
 poisoned any structure assuming workload specs are immutable — most
 notably ``RunSpec`` digests and the content-addressed result cache, which
 would happily serve a pre-fault cached result for a post-fault workload.
-The old ``inject_*`` names remain as deprecated aliases of the
-copy-on-write versions.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, List
 
 from ..core.alarm import Alarm
@@ -132,29 +129,6 @@ def with_storm(
         alarm.grace_length //= interval_divisor
 
     return _derive(workload, app, mutate, f"storm({app})")
-
-
-def _deprecated(old: str, new_fn: Callable[..., Workload]) -> Callable[..., Workload]:
-    def wrapper(*args, **kwargs) -> Workload:
-        warnings.warn(
-            f"{old} is deprecated; use {new_fn.__name__} (copy-on-write) "
-            "instead — the injectors no longer mutate the input workload",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return new_fn(*args, **kwargs)
-
-    wrapper.__name__ = old
-    wrapper.__doc__ = f"Deprecated alias of :func:`{new_fn.__name__}`."
-    return wrapper
-
-
-#: Deprecated aliases (pre-copy-on-write names).  They now return a new
-#: workload instead of mutating in place; chained call sites keep working
-#: because every historical caller used the return value.
-inject_no_sleep_bug = _deprecated("inject_no_sleep_bug", with_no_sleep_bug)
-inject_jitter = _deprecated("inject_jitter", with_jitter)
-inject_storm = _deprecated("inject_storm", with_storm)
 
 
 def fault_registrations(workload: Workload) -> List[Registration]:

@@ -24,14 +24,12 @@ system services plus seeded streams of one-shot wakeup and non-wakeup
 alarms — so absolute wakeup counts land in the paper's range.  Background
 alarms wakelock no extra hardware, so they only influence the CPU row.
 Construct it through the registered ``background`` scenario source when
-composing configs; the old :class:`BackgroundConfig` name remains as a
-deprecated construction shim.
+composing configs.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -126,29 +124,6 @@ class BackgroundLoad:
     oneshot_task_ms: int = 200
     nonwakeups_per_hour: float = 20.0
     seed: int = 20160605  # DAC'16 started June 5, 2016
-
-
-class BackgroundConfig(BackgroundLoad):
-    """Deprecated construction shim for :class:`BackgroundLoad`.
-
-    Direct construction is deprecated in favour of the ``background``
-    scenario source (``repro.workloads.sources``), which validates its
-    kwargs and derives seeds deterministically; library code that only
-    needs the plain dataclass should use :class:`BackgroundLoad`.
-    Instances carry exactly the :class:`BackgroundLoad` fields and build
-    identical registrations.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "constructing BackgroundConfig directly is deprecated; compose "
-            "the 'background' scenario source instead (see "
-            "repro.workloads.sources), or use BackgroundLoad for the plain "
-            "dataclass",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ import urllib.request
 
 import pytest
 
+from repro.obs.stream import MetricsEndpoint
 from repro.service import (
     AlarmService,
-    MetricsServer,
     ServiceConfig,
     SocketServer,
     Ticker,
@@ -200,13 +200,13 @@ class TestMetricsEndpoint:
         send(service, op="register", alarm=spec())
         send(service, op="advance", to=1_000_000)
         send(service, op="register", alarm=spec(nominal=-1))  # rejected
-        with MetricsServer(service) as metrics:
-            host, port = metrics.address
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/metrics", timeout=10
-            ) as response:
+        metrics = MetricsEndpoint(service.render_metrics)
+        try:
+            with urllib.request.urlopen(metrics.url, timeout=10) as response:
                 assert response.status == 200
                 text = response.read().decode()
+        finally:
+            metrics.close()
         assert 'service_requests{code="bad-time"' in text or (
             'outcome="rejected"' in text
         )
@@ -215,13 +215,39 @@ class TestMetricsEndpoint:
 
     def test_unknown_path_is_404(self):
         service = manual_service()
-        with MetricsServer(service) as metrics:
-            host, port = metrics.address
+        metrics = MetricsEndpoint(service.render_metrics)
+        try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
-                    f"http://{host}:{port}/nope", timeout=10
+                    f"http://{metrics.host}:{metrics.port}/nope", timeout=10
                 )
             assert err.value.code == 404
+        finally:
+            metrics.close()
+
+    def test_lifecycle_survives_a_failing_render_and_double_close(self):
+        """A render that raises is a 500 and the next scrape still gets
+        served; closing twice is a no-op."""
+        renders = iter([RuntimeError("boom")])
+
+        def render() -> str:
+            failure = next(renders, None)
+            if failure is not None:
+                raise failure
+            return "metric_a 1\n"
+
+        metrics = MetricsEndpoint(render)
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(metrics.url, timeout=10)
+            assert err.value.code == 500
+            with urllib.request.urlopen(metrics.url, timeout=10) as response:
+                assert response.read() == b"metric_a 1\n"
+        finally:
+            metrics.close()
+        metrics.close()
+        with pytest.raises(OSError):
+            urllib.request.urlopen(metrics.url, timeout=2)
 
 
 class TestServiceTelemetry:

@@ -4,9 +4,6 @@ import pytest
 
 from repro.workloads.faults import (
     clone_alarm,
-    inject_jitter,
-    inject_no_sleep_bug,
-    inject_storm,
     with_jitter,
     with_no_sleep_bug,
     with_storm,
@@ -171,31 +168,6 @@ class TestCopyOnWrite:
         derived = with_no_sleep_bug(original, "Facebook", 60_000)
         assert run_workload(derived, SimtyPolicy()).trace.delivery_count() > 0
         assert run_workload(original, SimtyPolicy()).trace.delivery_count() > 0
-
-
-class TestDeprecatedAliases:
-    def test_aliases_warn_and_delegate(self):
-        with pytest.warns(DeprecationWarning, match="copy-on-write"):
-            workload = inject_no_sleep_bug(build_light(), "Facebook", 60_000)
-        alarms = [
-            r.alarm for r in workload.registrations if r.alarm.app == "Facebook"
-        ]
-        assert all(alarm.hold_duration == 60_000 for alarm in alarms)
-
-    def test_jitter_alias_matches_new_name(self):
-        with pytest.warns(DeprecationWarning):
-            old = inject_jitter(build_light(), "Line", 10_000, seed=5)
-        new = with_jitter(build_light(), "Line", 10_000, seed=5)
-        get = lambda wl: [
-            r.alarm.nominal_time
-            for r in wl.registrations
-            if r.alarm.app == "Line"
-        ]
-        assert get(old) == get(new)
-
-    def test_storm_alias_warns(self):
-        with pytest.warns(DeprecationWarning):
-            inject_storm(build_light(), "WeChat", 10)
 
 
 class TestCombinedFaults:
