@@ -2,10 +2,10 @@
 
 The telemetry layer promises zero cost when no hub is attached: the engine
 hoists one boolean per loop iteration and every other gate is a single
-``enabled`` check.  This bench reconstructs the pre-instrumentation run
-loop (the exact plain branch of ``Simulator._run_loop``, without the gate)
-as a baseline, runs the heavy workload through both, and asserts the
-shipping no-op path stays within 5% of it.  A failure here means someone
+``enabled`` check.  This bench reconstructs the pre-instrumentation
+dispatch step (the engine's phase sequence, with no telemetry gate) as a
+baseline, runs the heavy workload through both, and asserts the shipping
+no-op path stays within 5% of it.  A failure here means someone
 left un-gated instrumentation on the hot path.
 
 An enabled run is also timed and emitted for eyeballing — instrumentation
@@ -28,29 +28,31 @@ REPS = 5
 
 
 class UninstrumentedSimulator(Simulator):
-    """The seed engine loop: no telemetry gate, no instrumented branch.
+    """The seed dispatch step: no telemetry gate, no instrumentation.
 
-    Keep this in sync with the plain branch of ``Simulator._run_loop`` —
-    it exists only to give the overhead bench a true baseline.
+    ``Simulator.run`` drives the run through :meth:`step`, so overriding
+    it here replaces the shipping step for the whole run.  Keep the phase
+    sequence in sync with ``Simulator.step`` — this class exists only to
+    give the overhead bench a true baseline.
     """
 
-    def _run_loop(self, horizon: int) -> None:
-        while True:
-            instant = self._next_event_time()
-            if instant is None or instant >= horizon:
-                break
-            self._watchdog_tick(instant)
-            self.clock.advance_to(instant)
-            self._process_registrations()
-            self._process_cancellations()
-            self._process_reregistrations()
-            self._process_externals()
-            self._deliver_due_wakeups()
-            if self.device.awake:
-                self._deliver_due_nonwakeups()
-                self.device.try_sleep(self.clock.now)
-            if self.monitor is not None:
-                self.monitor.on_step_end(self.clock.now)
+    def step(self):
+        instant = self._next_event_time()
+        if instant is None or instant >= self.config.horizon:
+            return None
+        self._watchdog_tick(instant)
+        self.clock.advance_to(instant)
+        self._process_registrations()
+        self._process_cancellations()
+        self._process_reregistrations()
+        self._process_externals()
+        self._deliver_due_wakeups()
+        if self.device.awake:
+            self._deliver_due_nonwakeups()
+            self.device.try_sleep(self.clock.now)
+        if self.monitor is not None:
+            self.monitor.on_step_end(self.clock.now)
+        return instant
 
 
 def _run_once(simulator_cls, telemetry=None):
