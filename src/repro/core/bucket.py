@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
 from .intervals import Interval
-from .policy import AlignmentPolicy
+from .policy import AlignmentPolicy, SearchResult
 from .queue import AlarmQueue
 
 
@@ -31,6 +30,7 @@ class FixedIntervalPolicy(AlignmentPolicy):
 
     name = "BUCKET"
     grace_mode = False
+    metric_prefix = "bucket"
 
     def __init__(
         self,
@@ -49,69 +49,45 @@ class FixedIntervalPolicy(AlignmentPolicy):
 
     def insert(self, queue: AlarmQueue, alarm: Alarm, now: int) -> QueueEntry:
         queue.remove_alarm(alarm)
+        return self._decide(queue, alarm, now)
+
+    def _search(self, queue: AlarmQueue, alarm: Alarm) -> SearchResult:
         boundary = self.bucket_time(alarm.nominal_time)
-        audit = self.audit
-        sampled = False
-        seq = 0
-        if audit.enabled:
-            seq = audit.next_seq()
-            sampled = audit.should_sample()
         # Bucket entries carry the zero-width window [boundary, boundary],
         # so the zero-width probe finds exactly the entries anchored at (or
         # spanning) the boundary; the start == boundary check then picks
         # this bucket's own entry.
-        probe = Interval(boundary, boundary)
         scanned = 0
         chosen: Optional[QueueEntry] = None
-        for entry in queue.window_candidates(probe):
+        for entry in queue.window_candidates(Interval(boundary, boundary)):
             scanned += 1
             if entry.window is not None and entry.window.start == boundary:
                 chosen = entry
                 break
-        if sampled:
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=1 if chosen is not None else 0,
-                    rejections=(
-                        (("bucket-mismatch", scanned - 1),)
-                        if chosen is not None and scanned > 1
-                        else (("bucket-mismatch", scanned),)
-                        if chosen is None and scanned
-                        else ()
-                    ),
-                    chosen_entry=chosen.entry_id if chosen is not None else None,
-                    new_entry=chosen is None,
-                    deferral_ms=boundary - alarm.nominal_time,
-                )
-            )
-        if chosen is not None:
-            return self._place_in_bucket(queue, chosen, alarm, boundary)
-        entry = QueueEntry([alarm])
-        entry.window = probe
-        entry.grace = entry.window
-        queue.add_entry(entry)
-        return entry
+        mismatched = scanned - 1 if chosen is not None else scanned
+        return SearchResult(
+            chosen,
+            scanned,
+            0 if chosen is None else 1,
+            rejections={"bucket-mismatch": mismatched} if mismatched else {},
+            deferral_ms=boundary - alarm.nominal_time,
+        )
 
-    def _place_in_bucket(
-        self, queue: AlarmQueue, entry: QueueEntry, alarm: Alarm, boundary: int
+    def _place(
+        self, queue: AlarmQueue, alarm: Alarm, result: SearchResult
     ) -> QueueEntry:
-        # Pull the entry out, grow it, re-pin its intervals, and re-index:
-        # the bucket boundary, not the members' interval algebra, defines
-        # the delivery time.
-        queue.remove_entry(entry)
-        entry.add(alarm)
-        entry.window = Interval(boundary, boundary)
-        entry.grace = entry.window
+        # The bucket boundary, not the members' interval algebra, defines
+        # the delivery time: a joined entry is pulled out, grown, re-pinned
+        # and re-indexed; a new one is pinned from the start.
+        boundary = self.bucket_time(alarm.nominal_time)
+        pinned = Interval(boundary, boundary)
+        entry = result.entry
+        if entry is None:
+            entry = QueueEntry([alarm])
+        else:
+            queue.remove_entry(entry)
+            entry.add(alarm)
+        entry.window = pinned
+        entry.grace = pinned
         queue.add_entry(entry)
         return entry

@@ -7,25 +7,22 @@ hardware wakelocking is specified during alarm registration."
 This module implements that extension on the assumption (granted by the
 paper's hypothetical future Android practice) that ``Alarm.task_duration``
 is declared up front.  Applicability is unchanged — user-experience
-guarantees are exactly SIMTY's — but the selection phase breaks Table 1 ties
-by *duration similarity*: the normalized distance between the new alarm's
-task duration and the mean task duration of the entry's members.  Aligning
-tasks of similar length maximizes the hardware on-time that can actually be
-shared, which matters once component hold energy (rather than activation
-energy) dominates.
+guarantees are exactly SIMTY's, and so is the search: the policy only
+overrides :meth:`~repro.core.simty.SimtyPolicy.selection_key`, so its
+decisions report under SIMTY's ``simty.*`` telemetry.  The selection key
+breaks Table 1 ties by *duration similarity*: the normalized distance
+between the new alarm's task duration and the mean task duration of the
+entry's members.  Aligning tasks of similar length maximizes the hardware
+on-time that can actually be shared, which matters once component hold
+energy (rather than activation energy) dominates.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
-from .queue import AlarmQueue
 from .simty import SimtyPolicy
-from .similarity import preference
+from .similarity import TimeSimilarity, preference
 
 
 def duration_dissimilarity(alarm: Alarm, entry: QueueEntry) -> float:
@@ -47,75 +44,14 @@ class DurationAwareSimtyPolicy(SimtyPolicy):
 
     name = "SIMTY+DUR"
 
-    def _search_and_select(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
-    ) -> Optional[QueueEntry]:
-        audit = self.audit
-        sampled = False
-        seq = 0
-        if audit.enabled:
-            seq = audit.next_seq()
-            sampled = audit.should_sample()
-        best_entry: Optional[QueueEntry] = None
-        best_key = (math.inf, math.inf)
-        best_ranks = None
-        scanned = 0
-        applicable_count = 0
-        rejections: dict = {}
-        # Same exact pre-filter as SIMTY: applicability implies grace
-        # overlap, so only grace candidates can win.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
-            scanned += 1
-            applicable, time_sim = self._applicability(alarm, entry)
-            if not applicable:
-                if sampled:
-                    if alarm.is_perceptible() or entry.is_perceptible():
-                        reason = f"perceptible-time-{time_sim.name.lower()}"
-                    else:
-                        reason = "time-low"
-                    rejections[reason] = rejections.get(reason, 0) + 1
-                continue
-            applicable_count += 1
-            hardware_rank = self.hardware_classifier.rank(
-                alarm.hardware, entry.hardware
-            )
-            key = (
-                preference(hardware_rank, time_sim),
-                duration_dissimilarity(alarm, entry),
-            )
-            if key < best_key:
-                best_key = key
-                best_entry = entry
-                best_ranks = (hardware_rank, time_sim)
-        if sampled:
-            won = best_entry is not None
-            rank_names = self.hardware_classifier.rank_names
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=applicable_count,
-                    rejections=tuple(sorted(rejections.items())),
-                    chosen_entry=best_entry.entry_id if won else None,
-                    new_entry=not won,
-                    hw=rank_names[best_ranks[0]] if won else None,
-                    time_sim=best_ranks[1].name.lower() if won else None,
-                    table1_rank=int(best_key[0]) if won else None,
-                    deferral_ms=(
-                        best_entry.delivery_time(self.grace_mode)
-                        - alarm.nominal_time
-                        if won
-                        else 0
-                    ),
-                )
-            )
-        return best_entry
+    def selection_key(
+        self,
+        alarm: Alarm,
+        entry: QueueEntry,
+        hardware_rank: int,
+        time_sim: TimeSimilarity,
+    ):
+        return (
+            preference(hardware_rank, time_sim),
+            duration_dissimilarity(alarm, entry),
+        )

@@ -15,19 +15,23 @@ stale instance of the same alarm):
   per Table 1: hardware similarity dominates, time similarity breaks ties,
   and the first-found entry wins among equals.
 
+Both phases run as one pass over the candidates (:meth:`SimtyPolicy._search`),
+which also keeps the counts the telemetry and the decision audit read:
+rejections per reason and applicable candidates per Table-1 cell.  The
+selection ranks by :meth:`SimtyPolicy.selection_key`, the one hook a
+variant overrides (SIMTY+DUR adds a duration tie-break).
+
 The hardware-similarity granularity is pluggable (Sec. 3.1.1 sketches 2- and
 4-level alternatives); the default is the paper's three-level classifier.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..obs.audit import DecisionRecord
 from .alarm import Alarm
 from .entry import QueueEntry
-from .policy import AlignmentPolicy
+from .policy import AlignmentPolicy, SearchResult
 from .queue import AlarmQueue
 from .similarity import (
     HardwareSimilarityClassifier,
@@ -37,12 +41,21 @@ from .similarity import (
     preference,
 )
 
+_HIGH = TimeSimilarity.HIGH
+_LOW = TimeSimilarity.LOW
+
+#: Rejection reason for a perceptible pair, by its (non-high) time similarity.
+_PERCEPTIBLE_REJECTIONS = {
+    level: f"perceptible-time-{level.name.lower()}" for level in TimeSimilarity
+}
+
 
 class SimtyPolicy(AlignmentPolicy):
     """Similarity-based alignment with search and selection phases."""
 
     name = "SIMTY"
     grace_mode = True
+    metric_prefix = "simty"
 
     def __init__(
         self,
@@ -52,149 +65,69 @@ class SimtyPolicy(AlignmentPolicy):
         super().__init__(queue_backend=queue_backend)
         self.hardware_classifier = hardware_classifier or ThreeLevelHardware()
 
+    @property
+    def rank_names(self) -> tuple:
+        return self.hardware_classifier.rank_names
+
     def insert(self, queue: AlarmQueue, alarm: Alarm, now: int) -> QueueEntry:
         # "we first remove the same alarm if it is still in the queue"
         queue.remove_alarm(alarm)
-        best = self._search_and_select(queue, alarm, now)
-        if best is not None:
-            return self._place_in_entry(queue, best, alarm)
-        return self._place_in_new_entry(queue, alarm)
+        return self._decide(queue, alarm, now)
 
-    # ------------------------------------------------------------------
-    # Phases
-    # ------------------------------------------------------------------
-    def _search_and_select(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
-    ) -> Optional[QueueEntry]:
-        """Run both phases and return the winning entry, if any.
+    def selection_key(
+        self,
+        alarm: Alarm,
+        entry: QueueEntry,
+        hardware_rank: int,
+        time_sim: TimeSimilarity,
+    ):
+        """Rank of an applicable entry; the lowest key wins (Table 1)."""
+        return preference(hardware_rank, time_sim)
 
-        The scan keeps the best (lowest) preferability seen so far; because
-        entries are examined in queue order, ties resolve to the first-found
-        entry as the paper specifies.
+    def _search(self, queue: AlarmQueue, alarm: Alarm) -> SearchResult:
+        """Both phases in one pass over the grace candidates.
 
-        With telemetry (or the decision audit) enabled the two phases run
-        separately (search collects every applicable entry, selection then
-        ranks them) so each gets its own span; the fused single-pass below
-        is the production path.  Both orderings resolve ties to the
-        first-found entry — the ranking uses a strict ``<`` — so the chosen
-        entry is identical.
+        Applicability needs at least MEDIUM time similarity, i.e. grace
+        overlap (window overlap implies it, since window ⊆ grace), so the
+        grace-candidate query is an exact search-phase pre-filter.  The
+        scan keeps the lowest selection key seen so far with a strict
+        ``<``; entries arrive in queue order, so ties resolve to the
+        first-found entry as the paper specifies.
         """
-        if self.telemetry.enabled or self.audit.enabled:
-            return self._search_and_select_instrumented(queue, alarm, now)
-        best_entry: Optional[QueueEntry] = None
-        best_score = math.inf
-        # Applicability needs at least MEDIUM time similarity, i.e. grace
-        # overlap (window overlap implies it, since window ⊆ grace), so the
-        # grace-candidate query is an exact search-phase pre-filter.
-        for entry in queue.grace_candidates(alarm.grace_interval()):
-            applicable, time_sim = self._applicability(alarm, entry)
-            if not applicable:
-                continue
-            hardware_rank = self.hardware_classifier.rank(
-                alarm.hardware, entry.hardware
-            )
-            score = preference(hardware_rank, time_sim)
-            if score < best_score:
-                best_score = score
-                best_entry = entry
-        return best_entry
-
-    def _search_and_select_instrumented(
-        self, queue: AlarmQueue, alarm: Alarm, now: int
-    ) -> Optional[QueueEntry]:
-        """Telemetry/audit variant: explicit search then selection phases.
-
-        Records the Table 1 decision breakdown — per hardware×time
-        similarity cell, how many candidates were applicable and which one
-        won — plus search/selection timing and scan-width histograms.  When
-        the decision audit sampled this insert, also captures the full
-        selection path (rejection reasons, winner's ranks, deferral) as a
-        :class:`~repro.obs.audit.DecisionRecord`.
-        """
-        tel = self.telemetry
-        audit = self.audit
-        seq = audit.next_seq()
-        sampled = audit.enabled and audit.should_sample()
-        rank_names = self.hardware_classifier.rank_names
-        tel.count("simty.searches")
+        window = alarm.window_interval()
+        grace = alarm.grace_interval()
+        perceptible = alarm.is_perceptible()
+        hardware = alarm.hardware
+        rank = self.hardware_classifier.rank
+        selection_key = self.selection_key
+        candidates = queue.grace_candidates(grace)
         rejections: dict = {}
-        with tel.span("simty.search", alarm=alarm.label):
-            scanned = 0
-            applicable = []
-            for entry in queue.grace_candidates(alarm.grace_interval()):
-                scanned += 1
-                ok, time_sim = self._applicability(alarm, entry)
-                if ok:
-                    applicable.append((entry, time_sim))
-                elif sampled:
-                    if alarm.is_perceptible() or entry.is_perceptible():
-                        reason = f"perceptible-time-{time_sim.name.lower()}"
-                    else:
-                        reason = "time-low"
+        cells: dict = {}
+        applicable = 0
+        best: Optional[QueueEntry] = None
+        best_key = None
+        winner = None
+        for entry in candidates:
+            time_sim = classify_time(window, grace, entry.window, entry.grace)
+            if perceptible or entry.is_perceptible():
+                if time_sim is not _HIGH:
+                    reason = _PERCEPTIBLE_REJECTIONS[time_sim]
                     rejections[reason] = rejections.get(reason, 0) + 1
-        tel.observe("simty.candidates_scanned", scanned)
-        tel.observe("simty.candidates_pruned", len(queue) - scanned)
-        with tel.span("simty.select", candidates=len(applicable)):
-            best_entry: Optional[QueueEntry] = None
-            best_score = math.inf
-            best_labels = None
-            for entry, time_sim in applicable:
-                hardware_rank = self.hardware_classifier.rank(
-                    alarm.hardware, entry.hardware
-                )
-                labels = (rank_names[hardware_rank], time_sim.name.lower())
-                tel.count("simty.applicable", hw=labels[0], time=labels[1])
-                score = preference(hardware_rank, time_sim)
-                if score < best_score:
-                    best_score = score
-                    best_entry = entry
-                    best_labels = labels
-        if best_entry is not None:
-            tel.count("simty.selected", hw=best_labels[0], time=best_labels[1])
-        else:
-            tel.count("simty.new_entry")
-        if sampled:
-            won = best_entry is not None
-            audit.append(
-                DecisionRecord(
-                    seq=seq,
-                    policy=self.name,
-                    kind="insert",
-                    time=now,
-                    alarm_id=alarm.alarm_id,
-                    label=alarm.label,
-                    app=alarm.app,
-                    wakeup=alarm.wakeup,
-                    perceptible=alarm.is_perceptible(),
-                    nominal_time=alarm.nominal_time,
-                    scanned=scanned,
-                    applicable=len(applicable),
-                    rejections=tuple(sorted(rejections.items())),
-                    chosen_entry=best_entry.entry_id if won else None,
-                    new_entry=not won,
-                    hw=best_labels[0] if won else None,
-                    time_sim=best_labels[1] if won else None,
-                    table1_rank=int(best_score) if won else None,
-                    deferral_ms=(
-                        best_entry.delivery_time(self.grace_mode)
-                        - alarm.nominal_time
-                        if won
-                        else 0
-                    ),
-                )
-            )
-        return best_entry
-
-    def _applicability(
-        self, alarm: Alarm, entry: QueueEntry
-    ) -> Tuple[bool, TimeSimilarity]:
-        """Search-phase rule (Sec. 3.2.1)."""
-        time_sim = classify_time(
-            alarm.window_interval(),
-            alarm.grace_interval(),
-            entry.window,
-            entry.grace,
+                    continue
+            elif time_sim is _LOW:
+                rejections["time-low"] = rejections.get("time-low", 0) + 1
+                continue
+            applicable += 1
+            cell = (rank(hardware, entry.hardware), time_sim)
+            cells[cell] = cells.get(cell, 0) + 1
+            key = selection_key(alarm, entry, *cell)
+            if best_key is None or key < best_key:
+                best, best_key, winner = entry, key, cell
+        return SearchResult(
+            best,
+            len(candidates),
+            applicable,
+            rejections=rejections,
+            cells=cells,
+            winner=winner,
         )
-        if alarm.is_perceptible() or entry.is_perceptible():
-            return time_sim is TimeSimilarity.HIGH, time_sim
-        return time_sim is not TimeSimilarity.LOW, time_sim

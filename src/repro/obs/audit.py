@@ -141,16 +141,12 @@ class DecisionRecord:
 class DecisionAudit:
     """Digest-seeded, sampled, ring-buffered decision recorder.
 
-    Call :meth:`should_sample` exactly once per decision (it advances
-    both the sequence counter and the sampling LCG), and :meth:`emit`
-    only when it returned True.  The typical policy-side shape::
-
-        if self.audit.enabled and self.audit.should_sample():
-            self.audit.emit(...)
-        elif self.audit.enabled:
-            pass  # should_sample() already advanced the sequence
-
-    is folded into :meth:`record`, which the policies use directly.
+    :meth:`record` is the one per-decision entry point: the policies'
+    shared observer (``AlignmentPolicy._observe``) calls it exactly once
+    per decision with the decision's fields.  It draws the sample
+    (:meth:`should_sample` advances both the sequence counter and the
+    sampling LCG) and, when drawn, builds the record and buffers it with
+    :meth:`append`.
     """
 
     enabled = True
@@ -196,10 +192,6 @@ class DecisionAudit:
     def decisions_sampled(self) -> int:
         return self._sampled
 
-    def next_seq(self) -> int:
-        """The sequence number the *next* decision will get."""
-        return self._seq
-
     def should_sample(self) -> bool:
         """Advance to the next decision; True if it must be recorded.
 
@@ -227,8 +219,7 @@ class DecisionAudit:
         return record
 
     def append(self, record: DecisionRecord) -> None:
-        """Buffer a fully-built record (for callers that drew the sample
-        with :meth:`should_sample` before the record's fields existed)."""
+        """Buffer a record whose sample was already drawn."""
         self._ring.append(record)
         self._sampled += 1
 
@@ -251,9 +242,6 @@ class NullDecisionAudit:
     capacity = 0
     decisions_seen = 0
     decisions_sampled = 0
-
-    def next_seq(self) -> int:
-        return 0
 
     def should_sample(self) -> bool:
         return False

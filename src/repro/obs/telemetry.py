@@ -232,7 +232,7 @@ class Telemetry:
     ) -> None:
         if max_events < 0:
             raise ValueError("max_events must be non-negative")
-        self._clock = clock if clock is not None else time.perf_counter_ns
+        self.clock = clock if clock is not None else time.perf_counter_ns
         self.max_events = max_events
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, _GaugeCell] = {}
@@ -278,7 +278,7 @@ class Telemetry:
 
     def begin(self, name: str, **args: object) -> None:
         """Open a span manually (prefer :meth:`span` where possible)."""
-        self._stack.append((name, self._clock(), tuple(sorted(args.items()))))
+        self._stack.append((name, self.clock(), tuple(sorted(args.items()))))
 
     def end(self, name: str) -> None:
         """Close the innermost open span; it must be ``name``."""
@@ -293,8 +293,28 @@ class Telemetry:
                 "span; spans must close in LIFO order"
             )
         self._stack.pop()
-        end_ns = self._clock()
-        depth = len(self._stack)
+        self._record(name, start_ns, self.clock(), args)
+
+    def record_span(
+        self, name: str, start_ns: int, end_ns: int, **args: object
+    ) -> None:
+        """Record a span that already ran, timed by the caller on
+        :attr:`clock`, nested under the spans open now.
+
+        For work whose span is only wanted when it turned out to do
+        something: the caller reads the clock around the work and records
+        afterwards.  Spans that closed inside the work keep the depth they
+        were recorded at.
+        """
+        self._record(name, start_ns, end_ns, tuple(sorted(args.items())))
+
+    def _record(
+        self,
+        name: str,
+        start_ns: int,
+        end_ns: int,
+        args: Tuple[Tuple[str, object], ...],
+    ) -> None:
         cell = self.span_stats.get(name)
         if cell is None:
             cell = self.span_stats[name] = _SpanCell()
@@ -305,7 +325,7 @@ class Telemetry:
                     name=name,
                     start_ns=start_ns,
                     end_ns=end_ns,
-                    depth=depth,
+                    depth=len(self._stack),
                     args=args,
                 )
             )
@@ -326,7 +346,7 @@ class Telemetry:
         ``children`` to lay every run on one timeline, while each child
         summarizes independently for its :class:`RunRecord`.
         """
-        child = Telemetry(clock=self._clock, max_events=self.max_events)
+        child = Telemetry(clock=self.clock, max_events=self.max_events)
         self.children.append((name, child))
         return child
 
@@ -381,6 +401,15 @@ class NullTelemetry:
 
     def end(self, name: str) -> None:
         pass
+
+    def record_span(
+        self, name: str, start_ns: int, end_ns: int, **args: object
+    ) -> None:
+        pass
+
+    @staticmethod
+    def clock() -> int:
+        return 0
 
     @property
     def open_spans(self) -> int:

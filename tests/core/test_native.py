@@ -1,6 +1,8 @@
 """NATIVE policy: Android 4.4 window-overlap batching (Sec. 2.1)."""
 
 from repro.core.native import NativePolicy
+from repro.obs.audit import DecisionAudit
+from repro.obs.telemetry import Telemetry
 
 from ..conftest import make_alarm
 
@@ -102,6 +104,36 @@ class TestRealignment:
         # a and c remain batched; b sits alone.
         assert len(queue) == 2
         assert queue.alarm_count() == 3
+
+    def test_rebatch_is_observed_as_one_decision(self):
+        policy = NativePolicy()
+        telemetry = Telemetry()
+        audit = DecisionAudit(seed=0, sample_rate=1.0)
+        policy.bind_telemetry(telemetry)
+        policy.bind_audit(audit)
+        queue = policy.make_queue()
+        a = make_alarm(nominal=1_000, window=2_000, label="a")
+        b = make_alarm(nominal=2_500, window=2_000, label="b")
+        c = make_alarm(nominal=2_600, window=2_000, label="c")
+        for alarm in (a, b, c):
+            policy.insert(queue, alarm, 0)
+        b.nominal_time = 50_000
+        entry = policy.reinsert(queue, b, 0)
+        summary = telemetry.summary()
+        assert summary.counter("native.searches") == 3
+        assert summary.counter("native.rebatches") == 1
+        assert summary.histograms["native.rebatch_alarms"].total == 3
+        records = audit.records()
+        assert [record.kind for record in records] == ["insert"] * 3 + [
+            "rebatch"
+        ]
+        rebatch = records[-1]
+        assert rebatch.seq == 3
+        assert (rebatch.scanned, rebatch.applicable) == (3, 2)
+        assert rebatch.rejections == ()
+        assert rebatch.chosen_entry == entry.entry_id
+        assert rebatch.new_entry is True
+        assert rebatch.deferral_ms == entry.delivery_time(False) - 50_000
 
     def test_reinsert_without_stale_instance_is_plain_insert(self):
         policy = NativePolicy()

@@ -1,6 +1,9 @@
 """Engine instrumentation: what an instrumented run records, and that
 observation never changes the simulation outcome."""
 
+import pytest
+
+from repro.core.duration import DurationAwareSimtyPolicy
 from repro.core.native import NativePolicy
 from repro.core.simty import SimtyPolicy
 from repro.obs.telemetry import Telemetry
@@ -60,9 +63,13 @@ class TestInstrumentedRun:
         assert depth.updates >= 1
         assert depth.max >= 1
 
-    def test_simty_policy_spans_and_breakdown(self):
-        _, summary = run_instrumented(SimtyPolicy())
-        assert summary.counter("simty.searches") >= 1
+    @pytest.mark.parametrize(
+        "policy_cls", [SimtyPolicy, DurationAwareSimtyPolicy]
+    )
+    def test_simty_policy_spans_and_breakdown(self, policy_cls):
+        # SIMTY+DUR shares SIMTY's search, so it reports under simty.*.
+        _, summary = run_instrumented(policy_cls())
+        assert summary.counter("simty.searches") > 0
         assert summary.spans["simty.search"].count == summary.counter(
             "simty.searches"
         )
