@@ -283,22 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base seed; case i is generated from seed+i",
     )
     fuzz_cmd.add_argument(
-        "--scenario-fraction",
-        type=float,
-        default=None,
-        metavar="P",
-        help=(
-            "fraction of cases that fuzz scenario compositions instead of "
-            "raw alarm populations (default 0.25; 0 disables the axis)"
-        ),
-    )
-    fuzz_cmd.add_argument(
         "--scenario",
         metavar="PATH",
         default=None,
         help=(
             "instead of a campaign, vet this one scenario config against "
-            "every detector (crash, invariants, backend/stepping equality)"
+            "every detector row (oracle and differential apply to "
+            "inline-alarms configs only)"
         ),
     )
 
@@ -1073,16 +1064,16 @@ def _command_validate(args: argparse.Namespace) -> int:
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        from .fuzz import ScenarioCase, run_scenario_case
+    from .fuzz import DETECTOR_NAMES, FuzzCase, fuzz, run_case
 
+    if args.scenario is not None:
         spec = _load_scenario_spec(args.scenario)
-        outcome = run_scenario_case(ScenarioCase(seed=args.seed, spec=spec))
+        outcome = run_case(FuzzCase(seed=args.seed, spec=spec))
         if outcome.ok:
             print(
                 f"{args.scenario}: ok — scenario {spec.name!r} "
                 f"({len(spec.sources)} source(s)) survived every detector "
-                "(crash, invariants, backend and stepping equality)"
+                f"({', '.join(DETECTOR_NAMES)})"
             )
             return 0
         print(f"{args.scenario}: {len(outcome.failures)} detector(s) fired")
@@ -1090,14 +1081,7 @@ def _command_fuzz(args: argparse.Namespace) -> int:
             print(f"  [{failure.kind}] {failure.detail}")
         return 1
 
-    from .fuzz import fuzz
-
-    extra = {}
-    if args.scenario_fraction is not None:
-        extra["scenario_fraction"] = args.scenario_fraction
-    report = fuzz(
-        seed=args.seed, budget_s=args.budget, max_cases=args.cases, **extra
-    )
+    report = fuzz(seed=args.seed, budget_s=args.budget, max_cases=args.cases)
     print(report.format())
     return 0 if report.ok else 1
 

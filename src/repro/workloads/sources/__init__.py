@@ -3,9 +3,9 @@
 Workloads are compositions of named, self-describing *sources* — the
 paper's Table 3 apps, background streams, synthetic populations, push
 storms, churn waves, fault injectors, calendar wakeups, network-gated
-syncs, trace replays — declared as plain data (:class:`ScenarioSpec`,
-loadable from TOML/JSON) and compiled into a single
-:class:`~repro.workloads.scenarios.Workload` by
+syncs, trace replays, explicit inline alarm rows — declared as plain
+data (:class:`ScenarioSpec`, loadable from TOML/JSON) and compiled into a
+single :class:`~repro.workloads.scenarios.Workload` by
 :func:`compile_scenario`.  See ``docs/scenarios.md`` for the tour and
 :mod:`repro.workloads.sources.base` for the plugin protocol.
 
@@ -43,6 +43,7 @@ from .canon import CANONICAL_SCENARIOS, canonical_diurnal, canonical_scenario
 from .churn import ChurnSource
 from .external import ExternalWakesSource, InteractiveSessionsSource
 from .faults import FaultSource
+from .inline import InlineAlarmsSource
 from .netgated import NetworkGatedSource
 from .push_storm import PushStormSource
 from .replay import TraceReplaySource
@@ -62,6 +63,7 @@ STOCK_SOURCES = (
     CalendarSource,
     NetworkGatedSource,
     TraceReplaySource,
+    InlineAlarmsSource,
 )
 
 for _source in STOCK_SOURCES:
@@ -76,6 +78,7 @@ __all__ = [
     "ExternalWakesSource",
     "FaultSource",
     "FieldSpec",
+    "InlineAlarmsSource",
     "InteractiveSessionsSource",
     "NetworkGatedSource",
     "PushStormSource",

@@ -150,18 +150,3 @@ class TestScenarioFlag:
         assert main(["fuzz", "--scenario", tiny_config]) == 0
         out = capsys.readouterr().out
         assert "survived every detector" in out
-
-    def test_fuzz_scenario_fraction(self, capsys):
-        assert main(
-            [
-                "fuzz",
-                "--cases",
-                "6",
-                "--budget",
-                "30",
-                "--scenario-fraction",
-                "1.0",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "scenario compositions:    6" in out

@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.fuzz import (
+    CaseOutcome,
     Failure,
-    ScenarioCase,
-    ScenarioOutcome,
+    FuzzCase,
     generate_scenario_case,
-    run_scenario_case,
-    shrink_scenario_case,
-    render_scenario_case,
+    run_case,
+    shrink_case,
+    render_case,
 )
 from repro.fleet import FleetConfig, make_population, run_fleet
 from repro.runner import RunSpec, run_spec
@@ -121,8 +121,8 @@ class TestExampleConfigs:
     )
     def test_example_survives_every_detector(self, path):
         """Crash, invariant, backend and stepping detectors, all clean."""
-        outcome = run_scenario_case(
-            ScenarioCase(seed=0, spec=load_scenario(path))
+        outcome = run_case(
+            FuzzCase(seed=0, spec=load_scenario(path))
         )
         assert outcome.ok, [failure.detail for failure in outcome.failures]
 
@@ -135,7 +135,7 @@ class TestFuzzScenarioAxis:
     def test_seeded_compositions_clean(self):
         dirty = []
         for seed in range(8):
-            outcome = run_scenario_case(generate_scenario_case(seed))
+            outcome = run_case(generate_scenario_case(seed))
             if not outcome.ok:
                 dirty.append(
                     (seed, [failure.detail for failure in outcome.failures])
@@ -153,7 +153,7 @@ class TestFuzzScenarioAxis:
                 SourceUse(source="calendar", id="b"),
             ),
         )
-        case = ScenarioCase(seed=1, spec=spec)
+        case = FuzzCase(seed=1, spec=spec)
 
         def fake_run(candidate):
             guilty = any(
@@ -162,19 +162,19 @@ class TestFuzzScenarioAxis:
             failures = (
                 [Failure(kind="invariant", detail="synthetic")] if guilty else []
             )
-            return ScenarioOutcome(case=candidate, outcomes={}, failures=failures)
+            return CaseOutcome(case=candidate, outcomes={}, failures=failures)
 
-        shrunk = shrink_scenario_case(
+        shrunk = shrink_case(
             case, frozenset({"invariant"}), run=fake_run
         )
         assert [use.source for use in shrunk.spec.sources] == ["push-storm"]
 
     def test_reproducer_is_valid_python(self):
         case = generate_scenario_case(2)
-        text = render_scenario_case(case)
+        text = render_case(case)
         compile(text, "<reproducer>", "exec")
         assert "scenario_from_dict" in text
-        assert "run_scenario_case" in text
+        assert "run_case" in text
 
 
 class TestFleetShardDeterminism:

@@ -31,6 +31,7 @@ EXPECTED_SOURCES = {
     "churn",
     "external-wakes",
     "fault",
+    "inline-alarms",
     "interactive-sessions",
     "network-gated",
     "push-storm",
@@ -142,6 +143,129 @@ class TestSchemas:
             {"path": "log.json", "events": [["a", 1, 0, 10]]}
         )
         assert source.validate_kwargs({"events": [["a", 1, 0, 10]]}) == []
+
+
+#: A valid ``inline-alarms`` population: a static alarm and a one-shot,
+#: churn on the static one and an external wake.
+INLINE_KWARGS = {
+    "alarms": [
+        ["a0", 30_000, 60_000, "static", 0, 48_000, True, "wifi", None],
+        ["a1", 5_000, 0, "one_shot", 15_000, 15_000, False, "none", 2_000],
+    ],
+    "churn": [
+        ["reregister", 100_000, "a0", 7_000],
+        ["cancel", 200_000, "a0", None],
+    ],
+    "externals": [[20_000, 500]],
+}
+
+
+def inline_kwargs(**rows):
+    return dict(INLINE_KWARGS, **rows)
+
+
+class TestInlineAlarms:
+    def test_valid_rows_accepted(self):
+        assert get_source("inline-alarms").validate_kwargs(INLINE_KWARGS) == []
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            (
+                inline_kwargs(
+                    alarms=[["a0", 30_000, 60_000, "static"]], churn=[]
+                ),
+                "alarms[0] must be (label, nominal, interval, kind",
+            ),
+            (
+                inline_kwargs(churn=[["cancel", 100_000, "a0"]]),
+                "churn[0] must be (op, time, target, nominal_offset)",
+            ),
+            (
+                inline_kwargs(externals=[[20_000]]),
+                "externals[0] must be (time, hold_ms)",
+            ),
+            (
+                inline_kwargs(
+                    alarms=[
+                        ["a0", 0, 60_000, "statik", 0, 0, True, "wifi", None]
+                    ],
+                    churn=[],
+                ),
+                "unknown kind 'statik'; did you mean 'static'?",
+            ),
+            (
+                inline_kwargs(
+                    alarms=[
+                        ["a0", 0, 60_000, "static", 0, 0, True, "gps", None]
+                    ],
+                    churn=[],
+                ),
+                "unknown hardware 'gps'",
+            ),
+            (
+                inline_kwargs(churn=[["detonate", 100_000, "a0", None]]),
+                "unknown op 'detonate'",
+            ),
+            (
+                inline_kwargs(
+                    alarms=[INLINE_KWARGS["alarms"][0]] * 2, churn=[]
+                ),
+                "alarms[1]: duplicate label 'a0'",
+            ),
+            (
+                inline_kwargs(churn=[["cancel", 100_000, "a9", None]]),
+                "churn[0]: target 'a9' names no alarm of this source",
+            ),
+        ],
+        ids=[
+            "alarm-arity",
+            "churn-arity",
+            "external-arity",
+            "unknown-kind",
+            "unknown-hardware",
+            "unknown-op",
+            "duplicate-label",
+            "dangling-target",
+        ],
+    )
+    def test_rejections_are_located(self, kwargs, expected):
+        spec = ScenarioSpec(
+            sources=(SourceUse(source="inline-alarms", kwargs=kwargs),)
+        )
+        problems = spec.validate()
+        assert len(problems) == 1, problems
+        assert problems[0].startswith("source[0] ('inline-alarms'): ")
+        assert expected in problems[0]
+
+    def test_builds_rows_verbatim(self):
+        spec = ScenarioSpec(
+            horizon=600_000,
+            sources=(SourceUse(source="inline-alarms", kwargs=INLINE_KWARGS),),
+        )
+        workload = compile_scenario(spec)
+        static, one_shot = workload.alarms()
+        assert [r.time for r in workload.registrations] == [0, 0]
+        assert (static.label, static.repeat_interval, static.grace_length) == (
+            "a0", 60_000, 48_000
+        )
+        assert not one_shot.wakeup and one_shot.hold_duration == 2_000
+        assert [type(d).__name__ for d in workload.directives] == [
+            "ReRegisterAt", "CancelAt"
+        ]
+        assert workload.directives[0].nominal_offset == 7_000
+        assert [(e.time, e.hold_ms) for e in workload.externals] == [
+            (20_000, 500)
+        ]
+
+    def test_json_round_trip_is_exact(self):
+        spec = ScenarioSpec(
+            name="inline",
+            horizon=600_000,
+            sources=(SourceUse(source="inline-alarms", kwargs=INLINE_KWARGS),),
+        )
+        payload = json.loads(json.dumps(scenario_to_dict(spec)))
+        assert scenario_from_dict(payload) == spec
 
 
 class TestSpec:
