@@ -9,9 +9,10 @@ the build when either driver drops below :data:`FLOOR_EVENTS_PER_S`,
 the guard that instrumentation hooks (telemetry, the decision audit)
 stay zero-cost on the uninstrumented hot path.
 
-The floor is deliberately conservative: a quiet workstation clears
-~9000 dispatch events/s, so even a busy two-core CI runner keeps an
-order-of-magnitude margin.
+The floor sits about 4x below the observed rate: a quiet two-core
+machine clears ~12k dispatch events/s (~8.5k without the entry, interval
+and hardware-rank caches), so a busy CI runner keeps headroom while a
+collapse of the policy hot path still trips it.
 """
 
 import json
@@ -26,7 +27,7 @@ REPORT_PATH = (
 )
 
 #: CI-enforced minimum engine throughput, dispatch events per second.
-FLOOR_EVENTS_PER_S = 1_000.0
+FLOOR_EVENTS_PER_S = 3_000.0
 
 WORKLOAD = "heavy"
 POLICY = "simty"

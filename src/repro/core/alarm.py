@@ -43,6 +43,10 @@ class Alarm:
     (footnote 4: Android only reveals the wakelocked hardware after the
     alarm's task runs).  Identity (``alarm_id``) defines equality so an alarm
     can be located in a queue regardless of its current nominal time.
+
+    The window and grace intervals are cached and keyed on the fields they
+    derive from, so assigning ``nominal_time``, ``window_length`` or
+    ``grace_length`` directly is safe.
     """
 
     __slots__ = (
@@ -63,6 +67,8 @@ class Alarm:
         "delivery_count",
         "last_delivery",
         "claimed_by",
+        "_interval_key",
+        "_intervals",
     )
 
     def __init__(
@@ -145,6 +151,11 @@ class Alarm:
         #: Alarms are mutable and single-use; the simulator uses this to
         #: reject registration of an alarm another run already owns.
         self.claimed_by: Optional[object] = None
+        #: ``(window, grace)`` as of ``_interval_key``, the
+        #: ``(nominal_time, window_length, grace_length)`` they were built
+        #: from; rebuilt on the first query after any of the three changes.
+        self._interval_key: Optional[tuple] = None
+        self._intervals: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Classification
@@ -174,9 +185,24 @@ class Alarm:
     # ------------------------------------------------------------------
     # Intervals
     # ------------------------------------------------------------------
+    def _interval_pair(self) -> tuple:
+        """The cached ``(window, grace)`` pair, rebuilt when stale.
+
+        ``Interval`` is frozen, so every caller may share the same objects.
+        """
+        key = (self.nominal_time, self.window_length, self.grace_length)
+        if key != self._interval_key:
+            nominal = self.nominal_time
+            self._intervals = (
+                Interval(nominal, nominal + self.window_length),
+                Interval(nominal, nominal + self.grace_length),
+            )
+            self._interval_key = key
+        return self._intervals
+
     def window_interval(self) -> Interval:
         """``[nominal, nominal + window_length]`` (Sec. 2.1)."""
-        return Interval(self.nominal_time, self.nominal_time + self.window_length)
+        return self._interval_pair()[0]
 
     def grace_interval(self) -> Interval:
         """``[nominal, nominal + grace_length]`` (Sec. 3.1.2).
@@ -184,7 +210,7 @@ class Alarm:
         For a perceptible alarm the policy never exploits the portion beyond
         the window, but the attribute is defined for every alarm.
         """
-        return Interval(self.nominal_time, self.nominal_time + self.grace_length)
+        return self._interval_pair()[1]
 
     def tolerance_interval(self) -> Interval:
         """The interval the policy may actually use for this alarm.
@@ -192,9 +218,8 @@ class Alarm:
         Perceptible alarms must be delivered within their window; only
         imperceptible alarms may use the full grace interval (Sec. 3.2.1).
         """
-        if self.is_perceptible():
-            return self.window_interval()
-        return self.grace_interval()
+        window, grace = self._interval_pair()
+        return window if self.is_perceptible() else grace
 
     # ------------------------------------------------------------------
     # Delivery bookkeeping

@@ -14,6 +14,28 @@ delivery time as a function of a ``grace_mode`` flag chosen by the policy.
 An invariant maintained by both policies: a *perceptible* entry always has a
 non-empty window intersection, because perceptible alarms may only join (or
 be joined by) entries with high time similarity.
+
+Every aggregate is cached on the entry: ``window``, ``grace``, ``hardware``
+and ``perceptible`` are narrowed (or OR-ed) in :meth:`QueueEntry.add` and
+rebuilt from the members in :meth:`QueueEntry.remove`, so the backend's sort
+key (:meth:`QueueEntry.delivery_time`) and the policy search read slots
+instead of re-scanning members.  The caches stay valid because a member's
+nominal time, hardware set and perceptibility only change while the alarm is
+outside every queue:
+
+* the engine runs ``record_delivery`` (hardware learning) and ``reschedule``
+  on the members of a popped entry, before reinserting them;
+* a re-registration assigns ``nominal_time`` after cancelling the alarm;
+* NATIVE's stale reinsert removes the old instance first (``remove`` then
+  rebuilds the shrunk entry).
+
+The one deliberate exception is BUCKET, which pins ``window``/``grace`` to
+its boundary on an entry it has taken out of the queue (the facade's
+:meth:`~repro.core.queue.AlarmQueue.update_entry` is the general hook for
+such edits); it never touches ``perceptible`` or ``hardware``.  The online
+monitor
+(:func:`repro.core.invariants.check_queue`) re-derives every aggregate from
+the members' raw fields, independently of these caches.
 """
 
 from __future__ import annotations
@@ -37,6 +59,7 @@ class QueueEntry:
         "window",
         "grace",
         "hardware",
+        "perceptible",
     )
 
     def __init__(self, alarms: Iterable[Alarm] = ()) -> None:
@@ -45,6 +68,8 @@ class QueueEntry:
         self.window: Optional[Interval] = None
         self.grace: Optional[Interval] = None
         self.hardware: HardwareSet = EMPTY_HARDWARE
+        #: True when any member is perceptible (Sec. 3.1.2).
+        self.perceptible = False
         for alarm in alarms:
             self.add(alarm)
 
@@ -57,20 +82,12 @@ class QueueEntry:
         The caller (the alignment policy) is responsible for having checked
         applicability; this method only maintains the attribute algebra.
         """
-        if alarm in self.alarms:
-            raise ValueError(f"alarm {alarm.label} already in entry")
+        alarm_id = alarm.alarm_id
+        for member in self.alarms:
+            if member.alarm_id == alarm_id:
+                raise ValueError(f"alarm {alarm.label} already in entry")
         self.alarms.append(alarm)
-        window = alarm.window_interval()
-        grace = alarm.grace_interval()
-        if len(self.alarms) == 1:
-            self.window = window
-            self.grace = grace
-        else:
-            if self.window is not None:
-                self.window = self.window.intersect(window)
-            if self.grace is not None:
-                self.grace = self.grace.intersect(grace)
-        self.hardware = self.hardware.union(alarm.hardware)
+        self._absorb(alarm, first=len(self.alarms) == 1)
 
     def remove(self, alarm: Alarm) -> None:
         """Remove ``alarm`` and rebuild the entry attributes from scratch."""
@@ -81,18 +98,25 @@ class QueueEntry:
         self.window = None
         self.grace = None
         self.hardware = EMPTY_HARDWARE
+        self.perceptible = False
         for index, alarm in enumerate(self.alarms):
-            window = alarm.window_interval()
-            grace = alarm.grace_interval()
-            if index == 0:
-                self.window = window
-                self.grace = grace
-            else:
-                if self.window is not None:
-                    self.window = self.window.intersect(window)
-                if self.grace is not None:
-                    self.grace = self.grace.intersect(grace)
-            self.hardware = self.hardware.union(alarm.hardware)
+            self._absorb(alarm, first=index == 0)
+
+    def _absorb(self, alarm: Alarm, first: bool) -> None:
+        """Fold one member into the cached aggregates."""
+        window = alarm.window_interval()
+        grace = alarm.grace_interval()
+        if first:
+            self.window = window
+            self.grace = grace
+        else:
+            if self.window is not None:
+                self.window = self.window.intersect(window)
+            if self.grace is not None:
+                self.grace = self.grace.intersect(grace)
+        self.hardware = self.hardware.union(alarm.hardware)
+        if not self.perceptible:
+            self.perceptible = alarm.is_perceptible()
 
     # ------------------------------------------------------------------
     # Attributes (Sec. 3.2.1)
@@ -102,7 +126,7 @@ class QueueEntry:
 
     def is_perceptible(self) -> bool:
         """True when the entry contains any perceptible alarm."""
-        return any(alarm.is_perceptible() for alarm in self.alarms)
+        return self.perceptible
 
     def delivery_time(self, grace_mode: bool) -> int:
         """When the entry should be delivered.
@@ -112,9 +136,9 @@ class QueueEntry:
         imperceptible entries.  Without it (NATIVE): always the earliest
         point of the window interval.
         """
-        if self.is_empty():
+        if not self.alarms:
             raise ValueError("empty entry has no delivery time")
-        if grace_mode and not self.is_perceptible():
+        if grace_mode and not self.perceptible:
             assert self.grace is not None, "grace intersection vanished"
             return self.grace.start
         if self.window is None:

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .alarm import RepeatKind
 from .entry import QueueEntry
 from .hardware import EMPTY_HARDWARE
+from .intervals import Interval
 from .queue import AlarmQueue
 
 # ---------------------------------------------------------------------------
@@ -331,14 +332,22 @@ def check_queue(
 
 
 def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
-    """Recompute an entry's attribute algebra and compare (Sec. 3.2.1)."""
+    """Recompute an entry's attribute algebra and compare (Sec. 3.2.1).
+
+    Everything is re-derived from the members' raw fields — intervals from
+    ``nominal_time`` plus the lengths, perceptibility per member — so a
+    stale cache in :class:`~repro.core.alarm.Alarm` or
+    :class:`~repro.core.entry.QueueEntry` shows up as a drift.
+    """
     violations: List[Violation] = []
-    window = None
-    grace = None
+    window: Optional[Interval] = None
+    grace: Optional[Interval] = None
     hardware = EMPTY_HARDWARE
+    perceptible = False
     for index, alarm in enumerate(entry.alarms):
-        alarm_window = alarm.window_interval()
-        alarm_grace = alarm.grace_interval()
+        nominal = alarm.nominal_time
+        alarm_window = Interval(nominal, nominal + alarm.window_length)
+        alarm_grace = Interval(nominal, nominal + alarm.grace_length)
         if index == 0:
             window = alarm_window
             grace = alarm_grace
@@ -348,7 +357,13 @@ def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
             if grace is not None:
                 grace = grace.intersect(alarm_grace)
         hardware = hardware.union(alarm.hardware)
-    if entry.window != window or entry.grace != grace or entry.hardware != hardware:
+        perceptible = perceptible or alarm.is_perceptible()
+    if (
+        entry.window != window
+        or entry.grace != grace
+        or entry.hardware != hardware
+        or entry.perceptible != perceptible
+    ):
         violations.append(
             Violation(
                 kind=ENTRY_ALGEBRA,
@@ -357,11 +372,12 @@ def _check_entry_algebra(entry: QueueEntry, now: int) -> List[Violation]:
                     f"entry #{entry.entry_id} attributes drifted from its "
                     f"members: window {entry.window} vs recomputed {window}, "
                     f"grace {entry.grace} vs {grace}, hardware "
-                    f"{entry.hardware} vs {hardware}"
+                    f"{entry.hardware} vs {hardware}, perceptible "
+                    f"{entry.perceptible} vs {perceptible}"
                 ),
             )
         )
-    if entry.is_perceptible() and window is None:
+    if perceptible and window is None:
         violations.append(
             Violation(
                 kind=PERCEPTIBLE_NO_WINDOW,

@@ -99,6 +99,46 @@ class TestIntervals:
         assert alarm.tolerance_interval() == alarm.grace_interval()
 
 
+class TestIntervalCache:
+    """The cached (window, grace) pair follows every field it derives from."""
+
+    def test_repeated_calls_share_objects(self):
+        alarm = make_alarm(nominal=10_000, window=5_000, grace=30_000)
+        assert alarm.window_interval() is alarm.window_interval()
+        assert alarm.grace_interval() is alarm.grace_interval()
+        assert alarm.tolerance_interval() is alarm.grace_interval()
+
+    def test_follows_reschedule(self):
+        alarm = make_alarm(nominal=10_000, repeat=60_000, window=5_000, grace=30_000)
+        before = alarm.window_interval()
+        assert alarm.reschedule(12_000)
+        assert alarm.window_interval() == Interval(70_000, 75_000)
+        assert alarm.grace_interval() == Interval(70_000, 100_000)
+        assert before == Interval(10_000, 15_000)  # old objects untouched
+
+    def test_follows_nominal_assignment(self):
+        alarm = make_alarm(nominal=10_000, window=5_000, grace=30_000)
+        alarm.window_interval()
+        alarm.nominal_time = 20_000
+        assert alarm.window_interval() == Interval(20_000, 25_000)
+        assert alarm.grace_interval() == Interval(20_000, 50_000)
+
+    def test_follows_length_assignment(self):
+        alarm = make_alarm(nominal=10_000, window=5_000, grace=30_000)
+        alarm.grace_interval()
+        alarm.window_length = 1_000
+        assert alarm.window_interval() == Interval(10_000, 11_000)
+        alarm.grace_length = 2_000
+        assert alarm.grace_interval() == Interval(10_000, 12_000)
+        assert alarm.window_interval() == Interval(10_000, 11_000)
+
+    def test_follows_hardware_learning_for_tolerance(self):
+        alarm = make_alarm(window=5_000, grace=30_000, known=False)
+        assert alarm.tolerance_interval() is alarm.window_interval()
+        alarm.record_delivery(alarm.nominal_time)
+        assert alarm.tolerance_interval() is alarm.grace_interval()
+
+
 class TestPerceptibility:
     def test_one_shot_always_perceptible(self):
         # Footnote 5.

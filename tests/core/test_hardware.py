@@ -1,5 +1,7 @@
 """Hardware sets: essential filtering, perceptibility, set algebra."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,15 @@ wakelockable = sorted(
 hardware_sets = st.builds(
     HardwareSet, st.sets(st.sampled_from(wakelockable), max_size=4)
 )
+
+
+def every_subset():
+    """Every hardware set over the wakelockable components (2**7 of them)."""
+    return [
+        HardwareSet(combo)
+        for size in range(len(wakelockable) + 1)
+        for combo in combinations(wakelockable, size)
+    ]
 
 
 class TestConstruction:
@@ -104,6 +115,20 @@ class TestAlgebra:
     @given(hardware_sets)
     def test_union_idempotent(self, a):
         assert a.union(a) == a
+
+    def test_union_is_set_union_for_every_pair(self):
+        subsets = every_subset()
+        assert len(subsets) == 2 ** len(wakelockable)
+        for a in subsets:
+            for b in subsets:
+                union = a.union(b)
+                assert union.components == a.components | b.components
+                assert union == HardwareSet(a.components | b.components)
+                # An operand that already contains the other is returned.
+                if b.components <= a.components:
+                    assert union is a
+                elif a.components <= b.components:
+                    assert union is b
 
 
 class TestComponentPower:

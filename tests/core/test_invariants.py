@@ -15,6 +15,7 @@ from repro.core.invariants import (
     GAP_BOUNDS,
     GRACE_EXCEEDED,
     OVERDUE_ENTRY,
+    PERCEPTIBLE_NO_WINDOW,
     QUEUE_ORDER,
     UNREGISTERED_QUEUED,
     WINDOW_EXCEEDED,
@@ -206,6 +207,41 @@ class TestCheckQueue:
         entry = next(iter(queue.entries()))
         entry.window = Interval(0, 1)  # drifted from its members
         assert ENTRY_ALGEBRA in kinds(check_queue(queue, 0))
+
+    def test_stale_entry_perceptibility_flagged(self):
+        queue = self.fill(make_alarm(nominal=50_000, window=10_000))
+        entry = next(iter(queue.entries()))
+        assert entry.perceptible is False  # a known Wi-Fi alarm
+        entry.perceptible = True  # the cached flag drifted from its members
+        assert ENTRY_ALGEBRA in kinds(check_queue(queue, 0))
+
+    def test_stale_alarm_interval_cache_flagged(self):
+        alarm = make_alarm(nominal=50_000, window=10_000, grace=20_000)
+        window, grace = alarm.window_interval(), alarm.grace_interval()
+        # Corrupt the cached pair under a still-matching key, so the entry
+        # is built from it; only a recompute from the raw fields notices.
+        alarm._intervals = (window.shift(5_000), grace)
+        queue = self.fill(alarm)
+        assert next(iter(queue.entries())).window == window.shift(5_000)
+        assert ENTRY_ALGEBRA in kinds(check_queue(queue, 0))
+
+    def test_perceptible_no_window_uses_recomputed_flag(self):
+        # Imperceptible members whose windows are disjoint (aligned on
+        # grace): a cached flag claiming perceptibility is an algebra
+        # drift, not a perceptible entry without a window.
+        queue = AlarmQueue(grace_mode=True)
+        entry = QueueEntry(
+            [
+                make_alarm(nominal=0, window=1_000, grace=30_000, label="a"),
+                make_alarm(nominal=10_000, window=1_000, grace=30_000, label="b"),
+            ]
+        )
+        assert entry.window is None
+        queue.add_entry(entry)
+        entry.perceptible = True
+        found = kinds(check_queue(queue, 0))
+        assert ENTRY_ALGEBRA in found
+        assert PERCEPTIBLE_NO_WINDOW not in found
 
     def test_unregistered_alarm_lingering_flagged(self):
         alarm = make_alarm(nominal=50_000, label="ghost")

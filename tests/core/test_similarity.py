@@ -27,7 +27,7 @@ from repro.core.similarity import (
     preference,
 )
 
-from .test_hardware import hardware_sets
+from .test_hardware import every_subset, hardware_sets
 
 
 class TestHardwareSimilarity:
@@ -124,6 +124,28 @@ class TestClassifierVariants:
             "three-level",
             "four-level",
         }
+
+    @pytest.mark.parametrize(
+        "classifier_type", [ThreeLevelHardware, TwoLevelHardware, FourLevelHardware]
+    )
+    def test_memoized_rank_matches_classification_everywhere(
+        self, classifier_type
+    ):
+        classifier = classifier_type()
+        subsets = every_subset()
+        pairs = [(a, b) for a in subsets for b in subsets]
+        cold = [classifier.rank(a, b) for a, b in pairs]
+        warm = [classifier.rank(a, b) for a, b in pairs]
+        fresh = [classifier.classify(a, b) for a, b in pairs]
+        assert cold == warm == fresh
+        # One memo slot per pair of wakelockable subsets, no more.
+        assert len(classifier._ranks) == len(pairs)
+
+    def test_memo_keys_on_components_not_objects(self):
+        classifier = ThreeLevelHardware()
+        assert classifier.rank(WIFI_ONLY, HardwareSet({Component.WIFI})) == 0
+        assert classifier.rank(HardwareSet({Component.WIFI}), WIFI_ONLY) == 0
+        assert len(classifier._ranks) == 1
 
     @given(hardware_sets, hardware_sets)
     def test_ranks_within_bounds(self, a, b):
