@@ -11,7 +11,7 @@ from repro.analysis.experiments import run_experiment
 from repro.analysis.report import format_table
 from repro.core.oracle import minimum_wakeups, optimality_gap
 from repro.workloads.scenarios import ScenarioConfig
-from repro.analysis.experiments import WORKLOAD_BUILDERS
+from repro.runner import DEFAULT_REGISTRY
 
 
 def compute():
@@ -20,7 +20,7 @@ def compute():
     gaps = {}
     for workload in ("light", "heavy"):
         oracle = minimum_wakeups(
-            WORKLOAD_BUILDERS[workload](config).alarms(), horizon=config.horizon
+            DEFAULT_REGISTRY.workload_builder(workload)(config).alarms(), horizon=config.horizon
         )
         for policy in ("native", "simty"):
             result = run_experiment(workload, policy, config)

@@ -1,8 +1,6 @@
 """Experiment running, figure/table generation, sweeps and the CLI."""
 
 from .experiments import (
-    POLICY_FACTORIES,
-    WORKLOAD_BUILDERS,
     ExperimentResult,
     PairResult,
     run_experiment,
@@ -56,8 +54,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "POLICY_FACTORIES",
-    "WORKLOAD_BUILDERS",
     "ExperimentResult",
     "PairResult",
     "run_experiment",

@@ -32,6 +32,7 @@ from ..power.accounting import account
 from ..power.attribution import attribution_table
 from ..power.profiles import NEXUS5
 from ..runner import (
+    DEFAULT_REGISTRY,
     ResultCache,
     RunJournal,
     RunSpec,
@@ -48,8 +49,6 @@ from ..simulator.events import event_log
 from ..simulator.serialize import load_trace, save_trace
 from ..workloads.scenarios import ScenarioConfig
 from .experiments import (
-    POLICY_FACTORIES,
-    WORKLOAD_BUILDERS,
     run_experiment,
     run_pair,
     run_paper_matrix,
@@ -78,7 +77,7 @@ from .sweep import (
 def _add_workload_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
-        choices=sorted(WORKLOAD_BUILDERS),
+        choices=DEFAULT_REGISTRY.workload_names(),
         default="light",
         help="evaluation scenario (Sec. 4.1)",
     )
@@ -171,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_arg(run)
     _add_backend_arg(run)
     run.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--policy", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     run.add_argument("--beta", type=float, default=None)
     _add_telemetry_args(run)
@@ -203,10 +202,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_arg(compare)
     compare.add_argument("--beta", type=float, default=None)
     compare.add_argument(
-        "--baseline", choices=sorted(POLICY_FACTORIES), default="native"
+        "--baseline", choices=DEFAULT_REGISTRY.policy_names(), default="native"
     )
     compare.add_argument(
-        "--improved", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--improved", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     _add_telemetry_args(compare)
 
@@ -220,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(profile)
     _add_backend_arg(profile)
     profile.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--policy", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     profile.add_argument("--beta", type=float, default=None)
     profile.add_argument(
@@ -347,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--policy", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     _add_backend_arg(serve)
     serve.add_argument(
@@ -523,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(explain)
     _add_backend_arg(explain)
     explain.add_argument(
-        "--policy", choices=sorted(POLICY_FACTORIES), default="simty"
+        "--policy", choices=DEFAULT_REGISTRY.policy_names(), default="simty"
     )
     explain.add_argument("--beta", type=float, default=None)
     explain.add_argument(
@@ -1541,7 +1540,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
 def _command_requests(args: argparse.Namespace) -> int:
     workload_name, workload_kwargs = _resolve_workload(args)
-    builder = WORKLOAD_BUILDERS[workload_name]
+    builder = DEFAULT_REGISTRY.workload_builder(workload_name)
     workload = builder(_scenario_config(args.beta), **workload_kwargs)
     lines = workload_request_lines(
         workload,

@@ -681,7 +681,7 @@ def fuzz(
     """Run a fuzz campaign until the time budget or case budget is spent.
 
     Case ``i`` is generated from ``seed + i``, so any failure is replayable
-    in isolation; failing cases are shrunk and rendered immediately.  A
+    on its own; failing cases are shrunk and rendered immediately.  A
     per-index draw sends :data:`COMPOSITION_SHARE` of the cases to the
     composition sampler and the rest to :func:`generate_case`.
     """

@@ -3,7 +3,7 @@
 A policy decides, for each alarm being inserted (or reinserted after a
 repeating delivery), which queue entry the alarm joins.  Policies are pure
 queue transformations — they know nothing about energy or devices — so they
-can be unit-tested in isolation and benchmarked for insertion cost (P1).
+can be unit-tested on their own and benchmarked for insertion cost (P1).
 
 Both Android's NATIVE policy and SIMTY are applied to wakeup and non-wakeup
 alarms *separately* (Sec. 2.1, 3.2.1); the alarm manager owns one queue per

@@ -1,8 +1,9 @@
 """The sharded, supervised fleet executor.
 
 ``run_fleet`` partitions a :class:`~repro.fleet.population.PopulationSpec`
-into deterministic contiguous shards and runs each shard in its own worker
-process, built robustness-first:
+into deterministic contiguous shards and runs each shard attempt in its
+own forked worker process under the runner's supervisor
+(:func:`~repro.runner.supervision.supervise`), built robustness-first:
 
 * **Resumable shards.**  Every shard writes an fsync'd JSONL journal
   (header → device lines → seal carrying the shard's reduced
@@ -20,10 +21,11 @@ process, built robustness-first:
   error class and reproducer digest, journaled, and written to the
   quarantine directory — never retried forever, and never allowed to
   take its shard down.
-* **Straggler reassignment.**  The parent tracks shard wall-clock
-  against the median of completed shards; a shard exceeding
-  ``straggler_factor`` x median (with a floor) is terminated and
-  reassigned, consuming one of its ``shard_retries``.
+* **Straggler reassignment.**  The straggler rule is the supervisor's
+  deadline: once two shards have finished, an attempt running past
+  ``straggler_factor`` x their median wall time (at least
+  ``straggler_min_s``) is killed and reassigned, consuming one of its
+  ``shard_retries``.
 * **Constant memory.**  Completed :class:`RunRecord`\\ s buffer at most
   ``memory_watermark`` deep before an early reduction folds them into
   the shard summary and frees them — never more than a shard's worth of
@@ -37,13 +39,11 @@ process, built robustness-first:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import sys
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -53,7 +53,7 @@ from ..obs.stream import SpoolSink, TelemetryStream
 from ..obs.summary import TelemetrySummary
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..runner.record import RunRecord
-from ..runner.supervision import run_supervised_serial
+from ..runner.supervision import AttemptEnd, run_supervised_serial, supervise
 from .chaos import FLEET_CHAOS_WORKLOAD, FleetChaos, install_chaos_workload
 from .population import DeviceSpec, PopulationSpec
 from .reduce import (
@@ -101,7 +101,6 @@ class FleetConfig:
     memory_watermark: int = 256
     reservoir_size: int = 32
     coverage_threshold: float = 0.95
-    poll_interval_s: float = 0.01
     quarantine_dir: Optional[str] = None
     chaos: Optional[FleetChaos] = None
     #: Per-shard telemetry hub (progress/outcome counters, device wall-time
@@ -458,12 +457,9 @@ def _shard_worker_main(
     fleet_dir: str,
     attempt: int,
 ) -> None:
-    """Worker-process entry: run the shard; result travels via the seal."""
-    try:
-        run_shard(population, plan, config, fleet_dir, attempt)
-    except BaseException:
-        traceback.print_exc(file=sys.stderr)
-        os._exit(1)
+    """Worker-process entry: run the shard; its summary travels via the
+    seal, which the parent trusts only once it loads and checks out."""
+    run_shard(population, plan, config, fleet_dir, attempt)
 
 
 # ----------------------------------------------------------------------
@@ -726,23 +722,15 @@ def run_fleet(
     plans = plan_shards(population.size, config.shards)
 
     started = time.perf_counter()
-    summaries: Dict[int, ShardSummary] = {}
-    stats: Dict[str, int] = {
-        "completed": 0,
-        "resumed": 0,
-        "retried": 0,
-        "reassigned": 0,
-        "failed": 0,
-    }
-    pending: deque = deque()
+    ledger = _ShardLedger(retries=config.shard_retries, tel=tel)
+    plans_to_run: List[ShardPlan] = []
     for plan in plans:
         path = shard_journal_path(fleet_dir, plan.shard)
         if resume:
             sealed = load_sealed_summary(path, digest, plan)
             if sealed is not None:
-                summaries[plan.shard] = sealed
-                stats["resumed"] += 1
-                tel.count("fleet.shards", status="resumed")
+                ledger.summaries[plan.shard] = sealed
+                ledger.book("resumed")
                 continue
             claimed = journal_population(path)
             if claimed is not None and claimed != digest:
@@ -750,21 +738,13 @@ def run_fleet(
                     f"fleet dir {fleet_dir} was written for population "
                     f"{claimed[:12]}, not {digest[:12]}; refusing to resume"
                 )
-        pending.append((plan, 1))
+        plans_to_run.append(plan)
 
-    failed_shards: List[ShardPlan] = []
-    if config.workers == 0:
-        _run_serial(
-            population, config, fleet_dir, pending, summaries, stats,
-            failed_shards, tel,
-        )
-    else:
-        _run_supervised(
-            population, config, fleet_dir, pending, summaries, stats,
-            failed_shards, tel,
-        )
+    run = _run_serial if config.workers == 0 else _run_processes
+    run(population, config, fleet_dir, plans_to_run, ledger)
 
     wall = time.perf_counter() - started
+    summaries = ledger.summaries
 
     if summaries:
         merged = merge_shard_summaries(
@@ -781,7 +761,7 @@ def run_fleet(
         summary.completed + summary.quarantined_count
         for summary in summaries.values()
     )
-    for plan in failed_shards:
+    for plan in ledger.failed:
         attempted += scan_attempted(shard_journal_path(fleet_dir, plan.shard))
 
     if tel.enabled:
@@ -801,7 +781,7 @@ def run_fleet(
         size=population.size,
         summary=merged,
         coverage_threshold=config.coverage_threshold,
-        shard_stats=stats,
+        shard_stats=ledger.stats,
         attempted_devices=attempted,
         shards=len(plans),
         workers=config.workers,
@@ -838,114 +818,106 @@ def _write_stream_final(stream_dir: Path, report: FleetReport) -> None:
         pass
 
 
+@dataclass
+class _ShardLedger:
+    """Where every shard attempt's end is booked: the sealed summaries,
+    ``FleetReport.shard_stats`` and the ``fleet.shards{status}`` counter."""
+
+    retries: int
+    tel: Telemetry
+    summaries: Dict[int, ShardSummary] = field(default_factory=dict)
+    stats: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("completed", "resumed", "retried", "reassigned", "failed"), 0
+        )
+    )
+    failed: List[ShardPlan] = field(default_factory=list)
+
+    def book(self, status: str) -> None:
+        self.stats[status] += 1
+        self.tel.count("fleet.shards", status=status)
+
+    def settle(
+        self,
+        plan: ShardPlan,
+        attempt: int,
+        summary: Optional[ShardSummary],
+        reason: str,
+    ) -> bool:
+        """Book one attempt; True when the shard runs again.
+
+        ``summary`` is the attempt's sealed summary (None when it left no
+        trustworthy seal) and ``reason`` the status a retry is booked as.
+        """
+        if summary is not None:
+            self.summaries[plan.shard] = summary
+            self.book("completed")
+            return False
+        if attempt <= self.retries:
+            self.book(reason)
+            return True
+        self.book("failed")
+        self.failed.append(plan)
+        return False
+
+
 def _run_serial(
     population: PopulationSpec,
     config: FleetConfig,
     fleet_dir: Path,
-    pending: deque,
-    summaries: Dict[int, ShardSummary],
-    stats: Dict[str, int],
-    failed_shards: List[ShardPlan],
-    tel: Telemetry,
+    plans: List[ShardPlan],
+    ledger: _ShardLedger,
 ) -> None:
     """In-process shard execution (workers=0): no kills, no stragglers."""
+    pending = deque((plan, 1) for plan in plans)
     while pending:
         plan, attempt = pending.popleft()
         try:
             summary = run_shard(population, plan, config, fleet_dir, attempt)
         except Exception:
             summary = None
-        if summary is not None:
-            summaries[plan.shard] = summary
-            stats["completed"] += 1
-            tel.count("fleet.shards", status="completed")
-        elif attempt <= config.shard_retries:
-            stats["retried"] += 1
-            tel.count("fleet.shards", status="retried")
+        if ledger.settle(plan, attempt, summary, "retried"):
             pending.append((plan, attempt + 1))
-        else:
-            stats["failed"] += 1
-            tel.count("fleet.shards", status="failed")
-            failed_shards.append(plan)
 
 
-def _run_supervised(
+def _run_processes(
     population: PopulationSpec,
     config: FleetConfig,
     fleet_dir: Path,
-    pending: deque,
-    summaries: Dict[int, ShardSummary],
-    stats: Dict[str, int],
-    failed_shards: List[ShardPlan],
-    tel: Telemetry,
+    plans: List[ShardPlan],
+    ledger: _ShardLedger,
 ) -> None:
-    """Subprocess shard scheduling: kills survived, stragglers reassigned."""
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
+    """One forked worker per shard attempt under :func:`supervise`, whose
+    deadline is the straggler rule (see the module docstring)."""
     digest = population.digest()
-    running: Dict[int, Tuple] = {}  # shard -> (proc, plan, attempt, started)
     durations: List[float] = []
 
-    def finish(plan: ShardPlan, attempt: int, ok: bool, reason: str) -> None:
-        if ok:
-            stats["completed"] += 1
-            tel.count("fleet.shards", status="completed")
-            return
-        if attempt <= config.shard_retries:
-            stats[reason] += 1
-            tel.count("fleet.shards", status=reason)
-            pending.append((plan, attempt + 1))
-        else:
-            stats["failed"] += 1
-            tel.count("fleet.shards", status="failed")
-            failed_shards.append(plan)
+    def straggler_deadline() -> Optional[float]:
+        if len(durations) < 2:
+            return None
+        median = sorted(durations)[len(durations) // 2]
+        return max(config.straggler_min_s, config.straggler_factor * median)
 
-    try:
-        while pending or running:
-            while pending and len(running) < config.workers:
-                plan, attempt = pending.popleft()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(population, plan, config, str(fleet_dir), attempt),
-                    daemon=True,
-                )
-                proc.start()
-                running[plan.shard] = (proc, plan, attempt, time.monotonic())
-            time.sleep(config.poll_interval_s)
-            deadline = None
-            if len(durations) >= 2:
-                ordered = sorted(durations)
-                median = ordered[len(ordered) // 2]
-                deadline = max(
-                    config.straggler_min_s, config.straggler_factor * median
-                )
-            for shard in list(running):
-                proc, plan, attempt, shard_started = running[shard]
-                elapsed = time.monotonic() - shard_started
-                if proc.is_alive():
-                    if deadline is not None and elapsed > deadline:
-                        # Straggler: shard wall-clock way past the fleet
-                        # median.  Kill and reassign rather than letting
-                        # one wedged worker stall the whole fleet.
-                        proc.terminate()
-                        proc.join(5.0)
-                        del running[shard]
-                        finish(plan, attempt, ok=False, reason="reassigned")
-                    continue
-                proc.join()
-                del running[shard]
-                summary = None
-                if proc.exitcode == 0:
-                    summary = load_sealed_summary(
-                        shard_journal_path(fleet_dir, plan.shard), digest, plan
-                    )
-                if summary is not None:
-                    durations.append(elapsed)
-                    summaries[plan.shard] = summary
-                    finish(plan, attempt, ok=True, reason="completed")
-                else:
-                    finish(plan, attempt, ok=False, reason="retried")
-    finally:
-        for proc, _, _, _ in running.values():
-            proc.terminate()
+    def settle(end: AttemptEnd) -> bool:
+        plan = end.key
+        summary = None
+        if end.how == "ok":
+            summary = load_sealed_summary(
+                shard_journal_path(fleet_dir, plan.shard), digest, plan
+            )
+        if summary is not None:
+            durations.append(end.wall_s)
+        reason = "reassigned" if end.how == "deadline" else "retried"
+        return ledger.settle(plan, end.attempt, summary, reason)
+
+    supervise(
+        {
+            plan: partial(
+                _shard_worker_main, population, plan, config, str(fleet_dir)
+            )
+            for plan in plans
+        },
+        workers=config.workers,
+        deadline_s=straggler_deadline,
+        on_end=settle,
+    )

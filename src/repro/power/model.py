@@ -75,7 +75,7 @@ class PowerModel:
         return mw_ms_to_mj(self.component_spec(component).active_power_mw, hold_ms)
 
     def single_delivery_energy_mj(self, components: Mapping[Component, int]) -> float:
-        """Energy of one isolated batch: wake + activations + holds.
+        """Energy of one stand-alone batch: wake + activations + holds.
 
         ``components`` maps each component to its hold time.  This is the
         quantity the authors measured per-alarm with the Monsoon monitor

@@ -3,8 +3,8 @@
 ``NEXUS5`` reproduces the paper's measured anchors exactly (Sec. 2.2):
 
 * waking the phone without extra wakelocks: **180 mJ**;
-* one isolated WPS position fix: **3,650 mJ** = 180 (wake) + 3,470 (scan);
-* one isolated calendar notification: **400 mJ** = 180 (wake) + 220
+* one stand-alone WPS position fix: **3,650 mJ** = 180 (wake) + 3,470 (scan);
+* one stand-alone calendar notification: **400 mJ** = 180 (wake) + 220
   (speaker & vibrator spin-up);
 
 so the motivating example's arithmetic (7,520 vs 4,050 mJ, Fig. 2) holds to

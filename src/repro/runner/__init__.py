@@ -10,7 +10,7 @@ docs/robustness.md):
 * :class:`ResultCache` — content-addressed in-memory + on-disk result
   store keyed by spec digests, with quarantine of corrupt entries;
 * :func:`run_spec` / :func:`run_many` — cache-aware execution, with a
-  process-pool fan-out and deterministic result ordering; ``run_many`` is
+  worker-process fan-out and deterministic result ordering; ``run_many`` is
   supervised (per-run :class:`RunStatus`, ``timeout_s``, ``retries``,
   ``on_error="keep_going"``);
 * :class:`RunJournal` — the checkpoint journal that lets an interrupted

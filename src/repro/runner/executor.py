@@ -10,17 +10,18 @@ the CLI) is sugar over three entry points:
 * :func:`run_spec` — the cache-aware single-run front end, returning a
   :class:`RunRecord`;
 * :func:`run_many` — the batch front end: deduplicates identical specs,
-  consults the cache, fans the remaining work out over a
-  ``ProcessPoolExecutor`` (serial for ``max_workers=1``), and returns
+  consults the cache, fans the remaining work out over forked worker
+  processes, one per attempt (serial for ``max_workers=1``), and returns
   records **in input order** regardless of completion order.
 
 ``run_many`` is *supervised* (see :mod:`repro.runner.supervision`): with
 ``on_error="keep_going"`` a failing or hanging spec is quarantined as a
 :class:`~repro.runner.record.RunStatus` ``FAILED`` / ``TIMEOUT`` record
-while the rest of the batch completes; ``timeout_s`` bounds each attempt,
-``retries`` resubmits failed attempts (with exponential backoff + jitter on
-the serial path), and a :class:`~repro.runner.journal.RunJournal` checkpoint
-lets an interrupted sweep resume from where it died.
+while the rest of the batch completes; ``timeout_s`` bounds each attempt
+(a hard kill in a worker process), ``retries`` re-runs failed attempts
+(with exponential backoff + jitter on the serial path), and a
+:class:`~repro.runner.journal.RunJournal` checkpoint lets an interrupted
+sweep resume from where it died.
 
 Parallel workers rebuild specs from scratch through the *default* registry
 (registries hold live callables and do not cross process boundaries), so
@@ -53,7 +54,7 @@ from .supervision import (
     Outcome,
     SpecExecutionError,
     SpecTimeoutError,
-    run_supervised_pool,
+    run_supervised_processes,
     run_supervised_serial,
 )
 
@@ -209,7 +210,7 @@ def _raise_outcome(
     """Re-raise a failed outcome for ``on_error="raise"``.
 
     The original exception object is preferred (serial path and picklable
-    pool errors); otherwise a :class:`SpecExecutionError` /
+    worker errors); otherwise a :class:`SpecExecutionError` /
     :class:`SpecTimeoutError` carries the captured details.
     """
     if outcome.status is RunStatus.TIMEOUT:
@@ -243,21 +244,23 @@ def run_many(
 
     The returned list is index-aligned with ``specs``.  Specs sharing a
     digest are simulated once; later occurrences are recorded as cache
-    hits.  ``max_workers=1`` runs serially in-process; larger values use a
-    process pool (custom registries force the serial path, since workers
-    only see the default registry).
+    hits.  ``max_workers=1`` runs serially in-process; larger values run
+    up to that many forked worker processes, one per attempt (custom
+    registries force the serial path, since workers only see the default
+    registry).
 
     Supervision:
 
     * ``timeout_s`` bounds each execution attempt (daemon-thread join on
-      the serial path; per-future wait on the pool path);
-    * ``retries`` re-executes a failed or timed-out attempt up to that
-      many extra times (exponential backoff + jitter serially,
-      resubmission on a fresh pool in parallel); a success after a retry
-      is recorded as ``RunStatus.RETRIED_OK``;
+      the serial path; in parallel, a hard deadline: the worker process
+      is killed when it passes);
+    * ``retries`` re-executes a failed, timed-out or dead attempt up to
+      that many extra times (exponential backoff + jitter serially, a new
+      process at the back of the queue in parallel); a success after a
+      retry is recorded as ``RunStatus.RETRIED_OK``;
     * ``on_error="raise"`` (default) propagates the first failure —
-      immediately on the serial path, after the batch drains on the pool
-      path; ``"keep_going"`` quarantines failures as ``FAILED`` /
+      immediately on the serial path, after the batch drains in parallel;
+      ``"keep_going"`` quarantines failures as ``FAILED`` /
       ``TIMEOUT`` records (``result is None``) and returns the partial
       batch, still index-aligned;
     * ``checkpoint`` journals every terminally-resolved digest; with
@@ -266,15 +269,15 @@ def run_many(
       re-executed.  Without ``resume`` the journal restarts from scratch.
 
     ``telemetry`` instruments the batch: each serially-executed spec runs
-    on a forked child hub (named after the spec), pool workers build their
-    own per-process hubs whose summaries ride back on the result traces,
+    on a forked child hub (named after the spec), worker processes build
+    their own hubs whose summaries ride back on the result traces,
     and the parent hub gets the harness view — worker count, utilization,
     per-spec wall-time histogram, retry/timeout/failure counters.
 
     ``stream`` (a :class:`repro.obs.stream.TelemetryStream` over the same
     hub) turns the batch into a live producer: the harness polls it after
     every resolved spec on the serial path and after the execution pass on
-    the pool path, so a :class:`~repro.obs.stream.Collector` watches the
+    the parallel path, so a :class:`~repro.obs.stream.Collector` watches the
     sweep progress instead of waiting for the final summary.  The caller
     owns ``begin()``/``flush(final=True)``.
     """
@@ -327,10 +330,10 @@ def run_many(
 
     # Execution pass over the unique misses, under supervision.
     pending = [(index, specs[index]) for index in to_run.values()]
-    use_pool = max_workers > 1 and registry is None and len(pending) > 1
+    parallel = max_workers > 1 and registry is None and len(pending) > 1
     outcomes: Dict[int, Outcome] = {}
-    if use_pool:
-        outcomes = run_supervised_pool(
+    if parallel:
+        outcomes = run_supervised_processes(
             pending,
             max_workers=max_workers,
             timeout_s=timeout_s,
@@ -414,7 +417,7 @@ def run_many(
             )
     if tel.enabled:
         elapsed = time.perf_counter() - batch_started
-        workers = max_workers if use_pool else 1
+        workers = max_workers if parallel else 1
         tel.gauge("runner.workers", workers)
         busy = sum(outcome.wall_time_s for outcome in outcomes.values())
         if elapsed > 0:

@@ -1,4 +1,4 @@
-"""Supervised execution: fault isolation, timeouts, and retries.
+"""Supervised execution: fault containment, timeouts, and retries.
 
 The plain executor lets any worker exception propagate out of the batch —
 one poisoned spec kills an entire sweep.  This module wraps each attempt so
@@ -13,10 +13,12 @@ gracefully instead:
   thread (an abandoned attempt keeps burning its CPU slice, but the
   simulator's own watchdog — :class:`~repro.simulator.engine.SimulationStalled`
   — bounds how long a runaway simulation can live);
-* :func:`run_supervised_pool` supervises a ``ProcessPoolExecutor``:
-  per-future timeouts, resubmission of failed attempts on a fresh pool,
-  and recovery from a killed worker (``BrokenProcessPool``) by tearing the
-  broken pool down and rescheduling every interrupted spec.
+* :func:`supervise` is the one place that starts worker processes: one
+  forked process per attempt, a hard per-attempt deadline, and every
+  attempt's end (``ok`` / ``died`` / ``deadline``) reported back to the
+  caller, which decides whether to run it again.  ``run_many``'s parallel
+  path (:func:`run_supervised_processes`) and the fleet's shard workers
+  both run on it.  A worker that dies is charged to its own task alone.
 
 Outcomes come back as :class:`Outcome` values keyed by input index; the
 executor converts them into :class:`~repro.runner.record.RunRecord`\\ s and
@@ -25,15 +27,27 @@ decides — per its ``on_error`` mode — whether to raise or keep going.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import random
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from multiprocessing.connection import wait
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .record import ExperimentResult, RunStatus
 from .spec import RunSpec
@@ -46,7 +60,7 @@ DEFAULT_BACKOFF_CAP_S = 2.0
 
 
 class SpecExecutionError(RuntimeError):
-    """A spec failed every supervised attempt (pool path, ``on_error="raise"``)."""
+    """A spec failed every supervised attempt (parallel, ``on_error="raise"``)."""
 
     def __init__(self, spec: RunSpec, digest: str, error_type: str, message: str, attempts: int):
         self.spec = spec
@@ -128,7 +142,7 @@ def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
 
     Returns ``("ok", result, wall_s)`` or
     ``("error", exception, type_name, traceback_str, wall_s)``.  Used both
-    in-process (serial path) and as the pool worker entry point, so the
+    in-process (serial path) and in worker processes, so the
     return value must be picklable.
     """
     from .executor import execute_spec  # local import to avoid a cycle
@@ -136,7 +150,7 @@ def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
     started = time.perf_counter()
     try:
         result = execute_spec(spec, registry, telemetry=telemetry)
-    except Exception as exc:  # noqa: BLE001 — supervision must isolate everything
+    except Exception as exc:  # noqa: BLE001 — supervision must contain everything
         wall = time.perf_counter() - started
         return (
             "error",
@@ -148,8 +162,10 @@ def attempt_spec(spec: RunSpec, registry=None, telemetry=None) -> Tuple:
     return ("ok", result, time.perf_counter() - started)
 
 
-def _attempt_pool(spec: RunSpec, enable_telemetry: bool = False) -> Tuple:
-    """Pool worker entry point (default registry only).
+def _attempt_in_child(
+    spec: RunSpec, enable_telemetry: bool, attempt: int
+) -> Tuple:
+    """Worker-process attempt (default registry only).
 
     Live hubs do not cross process boundaries, so an instrumented batch
     ships only a *flag*; the worker builds a fresh hub whose summary rides
@@ -157,6 +173,7 @@ def _attempt_pool(spec: RunSpec, enable_telemetry: bool = False) -> Tuple:
     """
     from ..obs.telemetry import Telemetry  # local import: worker side only
 
+    del attempt  # a spec simulates the same on every attempt
     telemetry = Telemetry() if enable_telemetry else None
     return attempt_spec(spec, None, telemetry)
 
@@ -183,6 +200,17 @@ def _attempt_with_timeout(
     if thread.is_alive() or not box:
         return ("timeout",)
     return box[0]
+
+
+def _timeout_outcome(timeout_s: Optional[float], attempts: int) -> Outcome:
+    return Outcome(
+        status=RunStatus.TIMEOUT,
+        result=None,
+        wall_time_s=timeout_s or 0.0,
+        attempts=attempts,
+        error_type="TimeoutError",
+        error_message=f"attempt exceeded timeout_s={timeout_s}",
+    )
 
 
 def _outcome_from_payload(payload: Tuple, attempts: int) -> Outcome:
@@ -221,135 +249,182 @@ def run_supervised_serial(
             return _outcome_from_payload(payload, attempts)
         if attempts > retries:
             if payload[0] == "timeout":
-                return Outcome(
-                    status=RunStatus.TIMEOUT,
-                    result=None,
-                    wall_time_s=timeout_s or 0.0,
-                    attempts=attempts,
-                    error_type="TimeoutError",
-                    error_message=f"attempt exceeded timeout_s={timeout_s}",
-                )
+                return _timeout_outcome(timeout_s, attempts)
             return _outcome_from_payload(payload, attempts)
         time.sleep(backoff_delay(attempts, backoff_base_s, backoff_cap_s))
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting for hung or dead workers.
+@dataclass(frozen=True)
+class AttemptEnd:
+    """How one supervised attempt ended.
 
-    Reaches into ``_processes`` (stable across CPython 3.9–3.13) so a
-    worker stuck in a timed-out simulation cannot block interpreter exit.
+    ``how`` is ``"ok"`` (the target returned; ``payload`` is its value),
+    ``"died"`` (the process exited without a payload: an uncaught
+    exception, ``os._exit``, a signal) or ``"deadline"`` (killed past its
+    deadline).  ``wall_s`` runs from fork to the end.
     """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - Python < 3.9 signature
-        pool.shutdown(wait=False)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+
+    key: Hashable
+    attempt: int
+    how: str
+    wall_s: float
+    payload: Any = None
+    exitcode: Optional[int] = None
+
+
+def _child_main(conn, target: Callable[[int], Any], attempt: int) -> None:
+    conn.send(target(attempt))
+    conn.close()
+
+
+@dataclass
+class _Running:
+    """One attempt in flight: its process and the read end of its pipe."""
+
+    key: Hashable
+    attempt: int
+    process: Any
+    reader: Any
+    started: float
+    received: bool = False
+    payload: Any = None
+
+    def drain(self) -> None:
+        """Take the payload off the pipe (or its EOF) and close the pipe."""
         try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already dead
+            self.payload = self.reader.recv()
+            self.received = True
+        except (EOFError, OSError):
             pass
+        self.reader.close()
+        self.reader = None
 
 
-def run_supervised_pool(
+def supervise(
+    targets: Mapping[Hashable, Callable[[int], Any]],
+    workers: int,
+    deadline_s: Callable[[], Optional[float]],
+    on_end: Callable[[AttemptEnd], bool],
+) -> None:
+    """Run every target in its own forked process, one per attempt.
+
+    ``targets[key](attempt)`` runs in the child and returns a picklable
+    value, sent back over a pipe.  At most ``workers`` children run at
+    once, started in ``targets`` order.  ``deadline_s()`` is read on every
+    pass and bounds each attempt from its fork (``None``: no bound); a
+    child past it is killed, so the deadline is hard.  The parent blocks
+    on every child's pipe and exit sentinel with a timeout of the time
+    left to the nearest deadline, and drains a pipe as soon as it is
+    readable, so a child sending a payload larger than the pipe buffer
+    never blocks its own exit.  ``on_end`` sees every attempt's end and
+    returns True to queue another attempt of that key.
+    """
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    queue = deque((key, 1) for key in targets)
+    running: List[_Running] = []
+    try:
+        while queue or running:
+            while queue and len(running) < workers:
+                key, attempt = queue.popleft()
+                reader, writer = ctx.Pipe(duplex=False)
+                process = ctx.Process(
+                    target=_child_main,
+                    args=(writer, targets[key], attempt),
+                    daemon=True,
+                )
+                process.start()
+                writer.close()  # the child's exit is then the pipe's EOF
+                running.append(
+                    _Running(key, attempt, process, reader, time.monotonic())
+                )
+            limit = deadline_s()
+            timeout = None
+            if limit is not None:
+                nearest = min(child.started for child in running) + limit
+                timeout = max(0.0, nearest - time.monotonic())
+            handles = [child.process.sentinel for child in running] + [
+                child.reader for child in running if child.reader is not None
+            ]
+            ready = set(wait(handles, timeout))
+            now = time.monotonic()
+            for child in list(running):
+                if child.reader is not None and child.reader in ready:
+                    child.drain()
+                expired = limit is not None and now - child.started >= limit
+                if child.process.sentinel not in ready and not expired:
+                    continue
+                killed = expired and child.process.is_alive()
+                if killed:
+                    child.process.kill()
+                child.process.join()
+                if child.reader is not None:
+                    child.drain()
+                running.remove(child)
+                end = AttemptEnd(
+                    key=child.key,
+                    attempt=child.attempt,
+                    how="ok" if child.received else (
+                        "deadline" if killed else "died"
+                    ),
+                    wall_s=now - child.started,
+                    payload=child.payload,
+                    exitcode=child.process.exitcode,
+                )
+                if on_end(end):
+                    queue.append((child.key, child.attempt + 1))
+    finally:
+        for child in running:
+            child.process.kill()
+            child.process.join()
+
+
+def run_supervised_processes(
     pending: Sequence[Tuple[int, RunSpec]],
     max_workers: int,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     enable_telemetry: bool = False,
 ) -> Dict[int, Outcome]:
-    """Supervise a batch over a process pool; outcomes keyed by index.
+    """Supervise a batch, one process per attempt; outcomes keyed by index.
 
-    Each round submits every still-pending spec to one pool.  A future
-    that times out or fails is resubmitted on the next round (on a fresh
-    pool) until its attempts exceed ``retries``.
-
-    A worker death (``BrokenProcessPool`` — e.g. ``os._exit`` or the OOM
-    killer) poisons every future still in flight, and the culprit is
-    indistinguishable from the innocents it took down.  A broken round
-    therefore charges *nobody*: every interrupted spec is requeued with
-    its attempt count unchanged, and the supervisor drops into isolation
-    mode — one spec per pool per round — for the rest of the batch.  In
-    isolation a breakage has exactly one possible culprit, which is then
-    charged the attempt; innocents complete on their own pools.  This
-    converges because isolated rounds always either resolve their spec or
-    grow its attempt count.
-
-    Timeouts are enforced while *collecting* futures in submission order,
-    so a spec may in practice get longer than ``timeout_s`` of wall time
-    while earlier futures are being awaited — the bound is per-wait, not a
-    hard kill.  A timed-out round tears its pool down (terminating the
-    stuck workers) before the next round starts.
+    ``timeout_s`` is every attempt's hard deadline.  A failed, timed-out
+    or dead attempt runs again, at the back of the queue, until its
+    attempts exceed ``retries``.  A worker that dies (``os._exit``, a
+    signal, the OOM killer) costs only its own spec an attempt.
     """
     outcomes: Dict[int, Outcome] = {}
-    queue: List[Tuple[int, RunSpec, int]] = [
-        (index, spec, 1) for index, spec in pending
-    ]
-    isolate = False
-    while queue:
-        if isolate:
-            round_items, queue = [queue[0]], queue[1:]
+
+    def settle(end: AttemptEnd) -> bool:
+        if end.how == "ok":
+            outcome = _outcome_from_payload(end.payload, end.attempt)
+        elif end.how == "deadline":
+            outcome = _timeout_outcome(timeout_s, end.attempt)
         else:
-            round_items, queue = queue, []
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        futures = [
-            (
-                pool.submit(_attempt_pool, spec, enable_telemetry),
-                index,
-                spec,
-                attempt,
+            outcome = Outcome(
+                status=RunStatus.FAILED,
+                result=None,
+                wall_time_s=end.wall_s,
+                attempts=end.attempt,
+                error_type="WorkerDied",
+                error_message=(
+                    f"worker process exited with code {end.exitcode} "
+                    "before reporting a result"
+                ),
             )
-            for index, spec, attempt in round_items
-        ]
-        broken = False
-        timed_out = False
-        for future, index, spec, attempt in futures:
-            try:
-                if broken and not future.done():
-                    raise BrokenExecutor("process pool died mid-batch")
-                payload = future.result(timeout=None if broken else timeout_s)
-            except FutureTimeoutError:
-                timed_out = True
-                future.cancel()
-                if attempt > retries:
-                    outcomes[index] = Outcome(
-                        status=RunStatus.TIMEOUT,
-                        result=None,
-                        wall_time_s=timeout_s or 0.0,
-                        attempts=attempt,
-                        error_type="TimeoutError",
-                        error_message=f"attempt exceeded timeout_s={timeout_s}",
-                    )
-                else:
-                    queue.append((index, spec, attempt + 1))
-                continue
-            except BrokenExecutor as exc:
-                broken = True
-                culpable = len(round_items) == 1  # isolated: no one else to blame
-                if culpable and attempt > retries:
-                    outcomes[index] = Outcome(
-                        status=RunStatus.FAILED,
-                        result=None,
-                        wall_time_s=0.0,
-                        attempts=attempt,
-                        error=_portable_exception(exc),
-                        error_type=type(exc).__name__,
-                        error_message=str(exc) or "worker process died",
-                    )
-                else:
-                    queue.append(
-                        (index, spec, attempt + 1 if culpable else attempt)
-                    )
-                continue
-            outcome = _outcome_from_payload(payload, attempt)
-            if outcome.ok or attempt > retries:
-                outcomes[index] = outcome
-            else:
-                queue.append((index, spec, attempt + 1))
-        if broken:
-            isolate = True
-        if broken or timed_out:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown()
+        if outcome.ok or end.attempt > retries:
+            outcomes[end.key] = outcome
+            return False
+        return True
+
+    supervise(
+        {
+            index: partial(_attempt_in_child, spec, enable_telemetry)
+            for index, spec in pending
+        },
+        workers=max_workers,
+        deadline_s=lambda: timeout_s,
+        on_end=settle,
+    )
     return outcomes

@@ -1,6 +1,6 @@
 """A 24-hour diurnal scenario: standby interleaved with interactive use.
 
-The paper's 3-hour untouched-phone experiment isolates connected standby;
+The paper's 3-hour untouched-phone experiment covers connected standby alone;
 real days also contain screen-on sessions (which the study [Shye et al.]
 behind the paper's motivation quantifies: phones are in standby ~89 % of
 the time).  This scenario extends the evaluation horizon to a full day and

@@ -1,7 +1,7 @@
 """Workload plumbing: :class:`Workload`, the paper scenarios, background load.
 
 The paper's evaluation (Sec. 4.1) fixes two workloads — **light** (Alarm
-Clock plus the 11 apps whose alarms wakelock only the Wi-Fi, isolating
+Clock plus the 11 apps whose alarms wakelock only the Wi-Fi, singling out
 *time* similarity) and **heavy** (all 18 Table 3 apps, adding WPS,
 accelerometer and speaker/vibrator users, exercising *hardware* similarity
 too) — and those remain the canonical entry points here.  But the repo has

@@ -9,8 +9,8 @@ from . import chaos
 def chaos_workload():
     """Register the chaos workload for the duration of one test.
 
-    The registration goes on the default registry (pool workers inherit it
-    via fork) and is removed afterwards so the rest of the suite — and the
+    The registration goes on the default registry (worker processes inherit
+    it via fork) and is removed afterwards so the rest of the suite — and the
     CLI's ``--workload`` choices — never see a ``chaos`` entry.
     """
     chaos.install()

@@ -7,9 +7,15 @@ and a worker that dies mid-batch (``os._exit``) only takes its own spec
 down.
 """
 
+import os
+import time
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.runner import ResultCache, RunStatus, run_many
+from repro.runner.supervision import supervise
 
 from .chaos import (
     chaos_spec,
@@ -152,3 +158,102 @@ class TestKilledWorker:
         for index in (0, 2, 3):
             assert records[index].ok, f"spec {index} should have recovered"
             assert records[index].result is not None
+
+
+class TestHardDeadline:
+    def test_deadline_bounds_each_attempt_not_each_wait(self):
+        # Every spec gets its own process at once; the two hangs are
+        # killed one second after their fork, not one second after the
+        # spec queued before them finished.
+        specs = [
+            chaos_spec("hang", sleep_s=0.9),
+            chaos_spec("hang", sleep_s=10.0, marker=1),
+            chaos_spec("hang", sleep_s=10.0, marker=2),
+        ]
+        started = time.perf_counter()
+        records = run_many(
+            specs, max_workers=3, timeout_s=1.0, on_error="keep_going"
+        )
+        elapsed = time.perf_counter() - started
+        assert statuses(records)[1:] == [RunStatus.TIMEOUT, RunStatus.TIMEOUT]
+        assert elapsed < 2.0, f"batch took {elapsed:.2f} s"
+
+
+class TestNoSerializationAfterKill:
+    def test_kill_does_not_slow_the_rest_of_the_batch(self):
+        # A dead worker is its own culprit, so the eight 1 s specs still
+        # run four at a time (about 2 s) instead of one by one.
+        specs = [chaos_spec("kill")] + [
+            chaos_spec("hang", sleep_s=1.0, marker=index) for index in range(8)
+        ]
+        started = time.perf_counter()
+        records = run_many(
+            specs, max_workers=4, retries=0, on_error="keep_going"
+        )
+        elapsed = time.perf_counter() - started
+        assert records[0].status is RunStatus.FAILED
+        assert records[0].attempts == 1
+        assert all(record.ok for record in records[1:])
+        assert elapsed < 5.0, f"batch took {elapsed:.2f} s"
+
+
+def _hang_reporting_pid(pid_path, attempt):
+    Path(pid_path).write_text(str(os.getpid()))
+    time.sleep(30.0)
+
+
+def _big_payload(size, attempt):
+    return bytes(range(256)) * (size // 256)
+
+
+def _run_once(target, deadline_s):
+    """Supervise one target for one attempt; return its end."""
+    ends = []
+
+    def on_end(end):
+        ends.append(end)
+        return False
+
+    supervise(
+        {"task": target},
+        workers=1,
+        deadline_s=lambda: deadline_s,
+        on_end=on_end,
+    )
+    (end,) = ends
+    return end
+
+
+class TestSupervisePrimitive:
+    def test_child_past_its_deadline_is_gone(self, tmp_path):
+        pid_path = tmp_path / "pid"
+        end = _run_once(partial(_hang_reporting_pid, str(pid_path)), 0.5)
+        assert end.how == "deadline" and end.attempt == 1
+        pid = int(pid_path.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_payload_over_pipe_buffer_returns_without_deadlock(self):
+        size = 1 << 20  # far beyond a 64 KB pipe buffer
+        end = _run_once(partial(_big_payload, size), 30.0)
+        assert end.how == "ok"
+        assert end.payload == _big_payload(size, 1)
+
+    def test_attempt_number_reaches_the_target_and_retries_requeue(self):
+        ends = []
+
+        def on_end(end):
+            ends.append(end)
+            return end.attempt < 3
+
+        supervise(
+            {"echo": lambda attempt: attempt},
+            workers=2,
+            deadline_s=lambda: None,
+            on_end=on_end,
+        )
+        assert [(end.how, end.payload) for end in ends] == [
+            ("ok", 1),
+            ("ok", 2),
+            ("ok", 3),
+        ]
